@@ -333,8 +333,7 @@ pub fn tile_dot_i32_with(tier: KernelTier, a_rows: [&[i32]; MR], panel: &[i32]) 
 
 /// The tier each public entry point *effectively* runs on under the
 /// current selection — they differ only where an ISA level lacks the
-/// needed instruction (Sse2's `tile_dot_i32`). For `repro features` and
-/// the bench report.
+/// needed instruction (Sse2's `tile_dot_i32`). For `repro features`.
 pub fn entry_point_tiers() -> [(&'static str, KernelTier); 4] {
     let t = selected_tier();
     let i32_tier = if t == KernelTier::Sse2 {

@@ -32,11 +32,9 @@
 //! | [`serve_exp`] | load sweep through the `owlp-serve` continuous-batching simulator |
 //! | [`serve_faults_exp`] | serving under escalating fault injection (supporting analysis) |
 //! | [`dse_exp`] | array-organisation design-space exploration (supporting analysis) |
-//! | [`bench_json`] | machine-readable parallel-speedup baselines (`repro bench-json`) |
 
 pub mod ablation;
 pub mod batch_sweep;
-pub mod bench_json;
 pub mod dse_exp;
 pub mod eq34;
 pub mod fig1;

@@ -17,37 +17,12 @@
 //! repro serve-faults   serving under escalating fault injection
 //! ```
 //!
-//! Plus three non-paper maintenance commands:
+//! Plus two non-paper maintenance commands:
 //!
 //! ```text
-//! repro bench-json [--smoke] [--out PATH] [--baseline PATH] [--allow-regress]
 //! repro pack [--out PATH] [--budget BYTES] [--verify]
 //! repro features [--archive PATH]
 //! ```
-//!
-//! `bench-json` times the `owlp-par` hot paths serial vs parallel and
-//! writes a machine-readable baseline report (default `BENCH_PR9.json`),
-//! comparing serial throughput against the previous baseline (default
-//! `BENCH_PR8.json`) when present. The report carries a `memory` section —
-//! event-driven HBM co-simulation verdicts — an `integrity` section —
-//! seeded fault-sweep coverage plus checksum overhead — a `simd`
-//! section — runtime kernel-dispatch accounting with per-tier throughput
-//! and cross-tier bit-identity — and a `weights` section — archive-v2
-//! streaming-encode budget conformance, mmap-vs-eager cold load, and
-//! mapped-vs-owned GEMM bit-identity — plus, since schema v7, a `host`
-//! section (CPU model, SIMD features, cache sizes) and a `blocking`
-//! section (blocked-vs-unblocked drive-loop gains and vector-vs-scalar
-//! codec gains measured in-run). The run fails when byte conservation is
-//! violated, when any swept fault escapes or raises a false positive,
-//! when any kernel tier diverges from the scalar oracle, when the
-//! streaming encoder exceeds its budget or a mapped GEMM diverges, when
-//! either loop order or codec tier breaks bit-identity, or (full runs
-//! only) when the checksum overhead exceeds its budget, the mapped cold
-//! load misses its ≥10x floor, the blocked GEMM gains miss their
-//! 1.4x/1.3x floors on hosts where cache pressure makes blocking bind
-//! (`floor_applies`), the vector encode gain misses its 1.5x floor, or a
-//! case's serial throughput regresses more than 10% against the baseline
-//! without `--allow-regress`.
 //!
 //! `pack` streaming-encodes the deterministic smoke model's weights into
 //! an archive-v2 file under the `OWLP_STREAM_BUDGET` byte budget (or
@@ -71,8 +46,8 @@
 //! CI can gate on the phase verdicts cheaply.
 
 use owlp_bench::{
-    ablation, batch_sweep, bench_json, dse_exp, eq34, fig1, fig10, fig11, fig8, fig9, roofline_exp,
-    serve_exp, serve_faults_exp, serving_exp, table1, table2, table3, table4, table5, SEED,
+    ablation, batch_sweep, dse_exp, eq34, fig1, fig10, fig11, fig8, fig9, roofline_exp, serve_exp,
+    serve_faults_exp, serving_exp, table1, table2, table3, table4, table5, SEED,
 };
 
 const EXPERIMENTS: [&str; 18] = [
@@ -161,172 +136,6 @@ fn run_one(name: &str, smoke: bool) -> Result<String, String> {
         "serve-faults" => Ok(serve_faults_exp::render(&serve_faults_exp::run())),
         "dse" => Ok(dse_exp::render(&dse_exp::run())),
         other => Err(format!("unknown experiment '{other}'")),
-    }
-}
-
-/// `repro bench-json [--smoke] [--out PATH] [--baseline PATH]
-/// [--allow-regress]` — run the parallel-speedup baseline suite and write
-/// the JSON report. When the baseline file (default `BENCH_PR8.json`)
-/// exists, each case also records its old-vs-new serial throughput gain;
-/// a case regressing past [`bench_json::REGRESS_LIMIT_GAIN`] always warns
-/// and fails non-smoke runs unless `--allow-regress` is given.
-fn run_bench_json(args: &[String]) {
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let allow_regress = args.iter().any(|a| a == "--allow-regress");
-    let out = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .map_or("BENCH_PR9.json", String::as_str);
-    let baseline = args
-        .iter()
-        .position(|a| a == "--baseline")
-        .and_then(|i| args.get(i + 1))
-        .map_or("BENCH_PR8.json", String::as_str);
-    let mut report = bench_json::run(smoke);
-    if let Ok(old) = std::fs::read_to_string(baseline) {
-        if !bench_json::attach_baseline(&mut report, &old) {
-            eprintln!("warning: {baseline} is not a bench report; skipping comparison");
-        }
-    }
-    let report = report;
-    let json = serde_json::to_string_pretty(&report).expect("report serializes");
-    if let Err(e) = std::fs::write(out, json + "\n") {
-        eprintln!("error: cannot write {out}: {e}");
-        std::process::exit(2);
-    }
-    println!("{}", bench_json::render(&report));
-    println!("wrote {out}");
-    if report.cases.iter().any(|c| !c.bit_identical) {
-        eprintln!("error: a parallel result diverged from the serial result");
-        std::process::exit(1);
-    }
-    if !report.simd.tiers_bit_identical {
-        eprintln!("error: a forced kernel tier diverged from the scalar oracle");
-        std::process::exit(1);
-    }
-    // Blocking identity gates bind every run; the gain floors, like all
-    // timing gates, only bind full runs (smoke shapes fit in cache, so
-    // blocking has nothing to buy there).
-    for g in &report.blocking.gemm {
-        if !g.bit_identical {
-            eprintln!(
-                "error: {} blocked-vs-unblocked outputs diverged (geometry {})",
-                g.case, g.geometry
-            );
-            std::process::exit(1);
-        }
-    }
-    if !report.blocking.codec.bit_identical {
-        eprintln!("error: the vector codec diverged from the scalar oracle");
-        std::process::exit(1);
-    }
-    if !report.smoke {
-        // The gain floor only binds when the derived geometry actually
-        // splits a loop dimension AND the operand planes exceed the
-        // last-level cache (`floor_applies`): on hosts whose LLC swallows
-        // both planes — e.g. a 260 MB server L3 — blocking is a measured
-        // no-op and demanding a speedup from it would be dishonest.
-        for g in &report.blocking.gemm {
-            let floor = if g.case == "gemm-exact" {
-                bench_json::BLOCKED_GAIN_FLOOR_EXACT
-            } else {
-                bench_json::BLOCKED_GAIN_FLOOR_OWLP
-            };
-            if g.floor_applies && g.gain < floor {
-                eprintln!(
-                    "error: {} blocked gain {:.2}x is below the {:.1}x floor",
-                    g.case, g.gain, floor
-                );
-                std::process::exit(1);
-            }
-        }
-        let cv = &report.blocking.codec;
-        if cv.tier != "scalar" && cv.encode_gain < bench_json::ENCODE_VECTOR_GAIN_FLOOR {
-            eprintln!(
-                "error: encode vector gain {:.2}x (tier {}) is below the {:.1}x floor",
-                cv.encode_gain,
-                cv.tier,
-                bench_json::ENCODE_VECTOR_GAIN_FLOOR
-            );
-            std::process::exit(1);
-        }
-    }
-    if !report.memory.byte_conservation_ok {
-        eprintln!("error: the memory co-simulation violated byte conservation");
-        std::process::exit(1);
-    }
-    let weights = &report.weights;
-    if !weights.stream_within_budget {
-        eprintln!(
-            "error: streaming encode peaked at {} bytes over its {}-byte budget",
-            weights.stream_peak_alloc, weights.stream_budget
-        );
-        std::process::exit(1);
-    }
-    if !weights.digests_verified {
-        eprintln!("error: an archive plane digest failed verification");
-        std::process::exit(1);
-    }
-    if !weights.mapped_gemm_bit_identical {
-        eprintln!("error: a mapped tensor's GEMM diverged from its owned twin");
-        std::process::exit(1);
-    }
-    // The cold-load floor is a timing, so like the other timing gates it
-    // only binds full runs — smoke shapes are too small for the ratio to
-    // clear jitter.
-    if !report.smoke && weights.cold_speedup < bench_json::COLD_LOAD_SPEEDUP_FLOOR {
-        eprintln!(
-            "error: mapped cold load is only {:.1}x faster than eager (floor {:.0}x)",
-            weights.cold_speedup,
-            bench_json::COLD_LOAD_SPEEDUP_FLOOR
-        );
-        std::process::exit(1);
-    }
-    let integ = &report.integrity;
-    if integ.escaped_total > 0 {
-        eprintln!(
-            "error: {} swept faults escaped the full integrity configuration",
-            integ.escaped_total
-        );
-        std::process::exit(1);
-    }
-    if integ.false_positives > 0 {
-        eprintln!(
-            "error: {} fault-free probes raised a detector",
-            integ.false_positives
-        );
-        std::process::exit(1);
-    }
-    if !integ.corrected_bit_identical {
-        eprintln!("error: a corrected run diverged from the fault-free oracle");
-        std::process::exit(1);
-    }
-    // Overhead is a timing, so only full runs gate on it: smoke shapes are
-    // too small for the fraction to be meaningful against CI jitter.
-    if !report.smoke && integ.max_overhead_frac > bench_json::OVERHEAD_LIMIT_FRAC {
-        eprintln!(
-            "error: checksum overhead {:.1}% exceeds the {:.0}% budget",
-            integ.max_overhead_frac * 100.0,
-            bench_json::OVERHEAD_LIMIT_FRAC * 100.0
-        );
-        std::process::exit(1);
-    }
-    // Serial-throughput regressions always warn; like overhead, they only
-    // gate full runs (smoke shapes are too noisy), and `--allow-regress`
-    // waives the gate for runs on known-slow or loaded machines.
-    let regressed = bench_json::regressions(&report);
-    for r in &regressed {
-        eprintln!("warning: regression: {r}");
-    }
-    if !report.smoke && !allow_regress && !regressed.is_empty() {
-        eprintln!(
-            "error: {} case(s) regressed more than {:.0}% vs {baseline}; \
-             pass --allow-regress to override",
-            regressed.len(),
-            (1.0 - bench_json::REGRESS_LIMIT_GAIN) * 100.0
-        );
-        std::process::exit(1);
     }
 }
 
@@ -565,12 +374,6 @@ fn main() {
     }
     let json = args.iter().any(|a| a == "--json");
     args.retain(|a| a != "--json");
-    // `bench-json` parses its own flags (including `--smoke`), so only
-    // strip the flag for the experiment path.
-    if args.first().map(String::as_str) == Some("bench-json") {
-        run_bench_json(&args[1..]);
-        return;
-    }
     if args.first().map(String::as_str) == Some("pack") {
         run_pack(&args[1..]);
         return;
@@ -585,7 +388,7 @@ fn main() {
         None | Some("all") => EXPERIMENTS.to_vec(),
         Some("--help") | Some("-h") => {
             eprintln!(
-                "usage: repro [all|{}] [--json] [--smoke]\n       repro bench-json [--smoke] [--out PATH] [--baseline PATH] [--allow-regress]\n       repro pack [--out PATH] [--budget BYTES] [--verify]\n       repro features [--archive PATH]\n       repro serve-faults --json PATH",
+                "usage: repro [all|{}] [--json] [--smoke]\n       repro pack [--out PATH] [--budget BYTES] [--verify]\n       repro features [--archive PATH]\n       repro serve-faults --json PATH",
                 EXPERIMENTS.join("|")
             );
             return;

@@ -63,7 +63,8 @@ use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::ops::Range;
-use std::path::Path;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Header magic.
@@ -305,9 +306,18 @@ pub struct ArchiveSummary {
 
 /// Streaming archive v2 encoder: packs tensors of any size under a fixed
 /// transient-memory budget (see the module docs).
+///
+/// The archive is written to a unique sibling of the target path and
+/// renamed over it by [`ArchiveWriter::finish`], so a reader that has the
+/// old file mapped keeps reading the old bytes. A writer dropped before
+/// `finish` removes its sibling and leaves the target untouched.
 #[derive(Debug)]
 pub struct ArchiveWriter {
     file: File,
+    /// Where `finish` puts the archive.
+    path: PathBuf,
+    /// The sibling being written; `None` once renamed onto `path`.
+    staging: Option<PathBuf>,
     cursor: u64,
     entries: Vec<TensorEntry>,
     budget: usize,
@@ -315,7 +325,8 @@ pub struct ArchiveWriter {
 }
 
 impl ArchiveWriter {
-    /// Creates (truncating) an archive at `path` with the budget from
+    /// Starts an archive that [`ArchiveWriter::finish`] will place at
+    /// `path` (replacing any file there), with the budget from
     /// [`stream_budget_from_env`].
     ///
     /// # Errors
@@ -331,23 +342,22 @@ impl ArchiveWriter {
     ///
     /// Propagates file creation failures.
     pub fn with_budget(path: &Path, budget: usize) -> Result<Self, ArchiveError> {
-        let mut file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(path)?;
-        let mut header = [0u8; HEADER_LEN as usize];
-        header[..4].copy_from_slice(ARCHIVE2_MAGIC);
-        header[4..8].copy_from_slice(&ARCHIVE2_VERSION.to_le_bytes());
-        file.write_all(&header)?;
-        Ok(ArchiveWriter {
+        let (file, staging) = create_staging(path)?;
+        // Built before the first write so `Drop` cleans up on any error.
+        let mut writer = ArchiveWriter {
             file,
+            path: path.to_path_buf(),
+            staging: Some(staging),
             cursor: HEADER_LEN,
             entries: Vec::new(),
             budget: budget.max(1),
             meter: AllocMeter::default(),
-        })
+        };
+        let mut header = [0u8; HEADER_LEN as usize];
+        header[..4].copy_from_slice(ARCHIVE2_MAGIC);
+        header[4..8].copy_from_slice(&ARCHIVE2_VERSION.to_le_bytes());
+        writer.file.write_all(&header)?;
+        Ok(writer)
     }
 
     /// The streaming byte budget in effect.
@@ -621,11 +631,12 @@ impl ArchiveWriter {
         Ok((whole.finalize(), tiles.finish()))
     }
 
-    /// Writes the index and footer and syncs the file.
+    /// Writes the index and footer, syncs the file, and renames it onto
+    /// the target path.
     ///
     /// # Errors
     ///
-    /// Propagates write/sync failures.
+    /// Propagates write/sync/rename failures.
     pub fn finish(mut self) -> Result<ArchiveSummary, ArchiveError> {
         let mut index = Vec::new();
         for e in &self.entries {
@@ -665,6 +676,10 @@ impl ArchiveWriter {
         footer.extend_from_slice(ARCHIVE2_FOOTER_MAGIC);
         self.write_at(index_off + index.len() as u64, &footer)?;
         self.file.sync_all()?;
+        if let Some(staging) = &self.staging {
+            std::fs::rename(staging, &self.path)?;
+        }
+        self.staging = None;
         self.meter.release(index.len());
         Ok(ArchiveSummary {
             tensors: self.entries.len(),
@@ -672,6 +687,44 @@ impl ArchiveWriter {
             budget: self.budget,
             peak_alloc: self.meter.peak(),
         })
+    }
+}
+
+impl Drop for ArchiveWriter {
+    fn drop(&mut self) {
+        if let Some(staging) = self.staging.take() {
+            let _ = std::fs::remove_file(staging);
+        }
+    }
+}
+
+/// Creates a fresh, uniquely named sibling of `path` to stage an archive
+/// in. Same directory, so the final rename stays on one filesystem.
+fn create_staging(path: &Path) -> io::Result<(File, PathBuf)> {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let name = path.file_name().ok_or_else(|| {
+        io::Error::new(io::ErrorKind::InvalidInput, "archive path has no file name")
+    })?;
+    loop {
+        let mut staged = std::ffi::OsString::from(".");
+        staged.push(name);
+        staged.push(format!(
+            ".{}.{}.tmp",
+            std::process::id(),
+            NEXT.fetch_add(1, Ordering::Relaxed)
+        ));
+        let staging = path.with_file_name(staged);
+        match OpenOptions::new()
+            .read(true)
+            .write(true)
+            .create_new(true)
+            .open(&staging)
+        {
+            Ok(file) => return Ok((file, staging)),
+            // A leftover from an earlier process with the same pid.
+            Err(e) if e.kind() == io::ErrorKind::AlreadyExists => continue,
+            Err(e) => return Err(e),
+        }
     }
 }
 
@@ -1266,6 +1319,38 @@ mod tests {
         assert_eq!(parse_stream_budget("2G"), Some(2 << 30));
         assert_eq!(parse_stream_budget("x"), None);
         assert_eq!(parse_stream_budget(""), None);
+    }
+
+    #[test]
+    fn rewriting_a_mapped_path_keeps_the_live_mapping_intact() {
+        let path = temp_path("rewrite-live");
+        write_archive(&path, 8 << 10, &[("w", 48, 40)]);
+        let first = MappedArchive::open(&path).unwrap();
+        let before = first.tensor("w").unwrap().to_bf16_vec();
+        // Other tensors and a much shorter file: truncating in place would
+        // pull the mapped pages out from under `first`.
+        write_archive(&path, 8 << 10, &[("x", 4, 4)]);
+        first.verify().unwrap();
+        assert_eq!(first.tensor("w").unwrap().to_bf16_vec(), before);
+        let second = MappedArchive::open(&path).unwrap();
+        assert_eq!(second.names().collect::<Vec<_>>(), ["x"]);
+        drop((first, second));
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn an_unfinished_writer_removes_its_staging_file() {
+        let path = temp_path("abandoned");
+        write_archive(&path, 8 << 10, &[("w", 16, 8)]);
+        let before = std::fs::read(&path).unwrap();
+        let mut w = ArchiveWriter::with_budget(&path, 8 << 10).unwrap();
+        w.add_tensor_slice("x", 4, 4, &mixed(16)).unwrap();
+        let staging = w.staging.clone().unwrap();
+        assert!(staging.exists());
+        drop(w);
+        assert!(!staging.exists());
+        assert_eq!(std::fs::read(&path).unwrap(), before);
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

@@ -476,7 +476,7 @@ mod x86 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::encode::encode_tensor;
+    use crate::encode::{encode_tensor, encode_tensor_into};
     use crate::select_window;
     use crate::simd::{available_tiers, with_tier};
 
@@ -580,12 +580,23 @@ mod tests {
             let enc = encode_tensor(&data, None).unwrap();
             (enc.clone(), enc.decode_packed())
         });
+        // The buffer-reuse entry points, refilled from the previous tier.
+        let (mut enc, mut packed) = Default::default();
         for &tier in available_tiers() {
             let got = with_tier(tier, || {
                 let enc = encode_tensor(&data, None).unwrap();
                 (enc.clone(), enc.decode_packed())
             });
             assert_eq!(got, baseline, "end-to-end codec diverges on {tier}");
+            with_tier(tier, || {
+                encode_tensor_into(&data, None, &mut enc).unwrap();
+                enc.decode_packed_into(&mut packed);
+            });
+            assert_eq!(
+                (&enc, &packed),
+                (&baseline.0, &baseline.1),
+                "reused codec buffers diverge on {tier}"
+            );
         }
     }
 }

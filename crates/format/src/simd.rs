@@ -50,7 +50,7 @@ pub enum KernelTier {
 }
 
 impl KernelTier {
-    /// The lowercase name used by `OWLP_SIMD` and the bench report.
+    /// The lowercase name used by `OWLP_SIMD` and `repro features`.
     pub fn name(self) -> &'static str {
         match self {
             KernelTier::Scalar => "scalar",
@@ -172,7 +172,7 @@ pub fn selected_tier() -> KernelTier {
 }
 
 /// The CPU features relevant to kernel selection that this host reports,
-/// for `repro features` and the bench report's `simd` section.
+/// for `repro features` and the benchmark's host fingerprint.
 pub fn detected_features() -> Vec<&'static str> {
     #[cfg(target_arch = "x86_64")]
     {

@@ -394,9 +394,8 @@ impl GuardedGemm {
     }
 
     /// Non-mutating checked execution on the pristine state — the
-    /// production call shape the bench overhead measurement times: verify
-    /// storage digests and parity, run the GEMM with ABFT collection, and
-    /// verify the checksums.
+    /// production call shape: verify storage digests and parity, run the
+    /// GEMM with ABFT collection, and verify the checksums.
     ///
     /// # Errors
     ///
@@ -451,22 +450,6 @@ impl GuardedGemm {
             AlignUnit::Exact,
         )
         .expect("guarded operands stay finite")
-    }
-
-    /// The working packed planes, `(packed_a, packed_b)`. Overhead timings
-    /// drive the *unguarded* kernel through these same references so plain
-    /// and checked runs share one copy of the operands — as production
-    /// would — instead of the plain twin dragging a duplicate working set
-    /// through the cache.
-    pub fn working(&self) -> (&PackedOperands, &PackedOperands) {
-        (&self.packed_a, &self.packed_b)
-    }
-
-    /// The microkernel weight panels memoised from the pristine `B`
-    /// planes — valid for any pristine-state run, alongside
-    /// [`Self::working`].
-    pub fn panels(&self) -> &PackedPanels {
-        &self.panels
     }
 
     /// One decoded operand from the working activation/weight planes (for

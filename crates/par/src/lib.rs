@@ -87,9 +87,9 @@ pub fn hardware_threads() -> usize {
 }
 
 /// The number of worker threads a parallel call may use right now:
-/// a [`with_threads`] override if one is active (unclamped), else 1 inside
-/// a pool worker, else `OWLP_THREADS` — clamped to [`hardware_threads`] —
-/// else the machine's available parallelism.
+/// 1 inside a dispatched chunk, else a [`with_threads`] override if one is
+/// active (unclamped), else `OWLP_THREADS` — clamped to
+/// [`hardware_threads`] — else the machine's available parallelism.
 ///
 /// Always ≥ 1; a budget of 1 means "run serially on the calling thread".
 pub fn thread_budget() -> usize {
@@ -99,18 +99,8 @@ pub fn thread_budget() -> usize {
     if let Some(n) = OVERRIDE.with(Cell::get) {
         return n.max(1);
     }
-    requested_threads().min(hardware_threads()).max(1)
-}
-
-/// The budget as *requested* — override or `OWLP_THREADS` or the hardware
-/// default — before the hardware clamp. `bench-json` records both so a
-/// report shows when a requested budget was cut down to the real core
-/// count.
-pub fn requested_threads() -> usize {
-    if let Some(n) = OVERRIDE.with(Cell::get) {
-        return n.max(1);
-    }
-    env_threads().unwrap_or_else(hardware_threads)
+    let hw = hardware_threads();
+    env_threads().map_or(hw, |n| n.min(hw))
 }
 
 fn env_threads() -> Option<usize> {
@@ -251,9 +241,13 @@ impl Pool {
             return;
         }
         let Some(_dispatch) = self.dispatch.try_lock() else {
-            for c in 0..chunks {
-                f(c);
-            }
+            // Another thread owns the pool: run serially, but as a worker
+            // would, so nested calls see budget 1 on this branch too.
+            in_worker_scope(|| {
+                for c in 0..chunks {
+                    f(c);
+                }
+            });
             return;
         };
         let job = Arc::new(Job {
@@ -284,9 +278,7 @@ impl Pool {
         // The caller participates (it counts toward the budget); nested
         // parallel calls inside `f` must run serially here exactly as they
         // do inside a pool worker.
-        let was_worker = IN_WORKER.with(|w| w.replace(true));
-        run_chunks(&job);
-        IN_WORKER.with(|w| w.set(was_worker));
+        in_worker_scope(|| run_chunks(&job));
         // Quiesce: withdraw the job so no new worker registers, then wait
         // until every registered worker has deregistered — only then is the
         // erased borrow of `f` (and of everything it captures) dead.
@@ -301,6 +293,20 @@ impl Pool {
             resume_unwind(payload);
         }
     }
+}
+
+/// Runs `f` with this thread marked as a pool worker, so nested parallel
+/// calls inside it run serially; restores the previous mark afterwards
+/// (also on unwind).
+fn in_worker_scope<R>(f: impl FnOnce() -> R) -> R {
+    struct Restore(bool);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            IN_WORKER.with(|w| w.set(self.0));
+        }
+    }
+    let _restore = Restore(IN_WORKER.with(|w| w.replace(true)));
+    f()
 }
 
 /// Claims and runs chunks until the counter is exhausted, capturing the
@@ -512,6 +518,40 @@ mod tests {
     fn nested_calls_run_serially_inside_workers() {
         let nested_budgets = with_threads(4, || map_indexed(4, 1, |_| thread_budget()));
         assert_eq!(nested_budgets, vec![1; 4]);
+    }
+
+    #[test]
+    fn nested_calls_run_serially_while_another_thread_holds_the_pool() {
+        // The holder's first chunk waits until every caller has finished,
+        // so the holder keeps the pool and each caller's dispatch takes the
+        // serial fallback. Nested calls must read budget 1 on both branches.
+        const CALLERS: usize = 3;
+        let inside = std::sync::Barrier::new(CALLERS + 1);
+        let done = std::sync::Barrier::new(CALLERS + 1);
+        let hold = |i: usize| {
+            if i == 0 {
+                inside.wait();
+                done.wait();
+            }
+            thread_budget()
+        };
+        std::thread::scope(|s| {
+            let holder = s.spawn(|| with_threads(2, || map_indexed(2, 1, hold)));
+            let callers: Vec<_> = (0..CALLERS)
+                .map(|_| {
+                    s.spawn(|| {
+                        inside.wait();
+                        let nested = with_threads(4, || map_indexed(8, 1, |_| thread_budget()));
+                        done.wait();
+                        nested
+                    })
+                })
+                .collect();
+            for c in callers {
+                assert_eq!(c.join().expect("no panic"), vec![1; 8]);
+            }
+            assert_eq!(holder.join().expect("no panic"), vec![1; 2]);
+        });
     }
 
     #[test]

@@ -70,10 +70,7 @@ pub use fault::{
 };
 pub use metrics::{summarize, summarize_faults, MetricsReport, Percentiles, ServingSummary};
 pub use owlp_integrity::IntegrityConfig;
-pub use pool::{
-    simulate_pool, simulate_pool_faulty, simulate_pool_faulty_with, simulate_pool_with,
-    FaultPoolConfig, PoolConfig, ShardScratch,
-};
+pub use pool::{simulate_pool, simulate_pool_faulty, FaultPoolConfig, PoolConfig};
 pub use request::{ArrivalProcess, LengthDistribution, Request, TraceSpec};
 pub use scheduler::{
     simulate, simulate_faulty, CompletedRequest, FaultSimOutcome, FaultStats, SchedulerConfig,

@@ -119,57 +119,24 @@ impl FaultPoolConfig {
     }
 }
 
-/// Reusable per-worker shard buffers for the `_with` pool entry points.
-///
-/// A serving loop calls the pool simulator once per round; the round-robin
-/// shards are the only allocation that scales with the trace, so a loop
-/// that holds one `ShardScratch` refills the same `Vec`s every round
-/// instead of reallocating them. The buffers adapt to any worker count and
-/// trace length; results are bit-identical to the scratch-free entry
-/// points.
-#[derive(Debug, Default, Clone)]
-pub struct ShardScratch {
-    shards: Vec<Vec<Request>>,
-}
-
-/// Clears `shards` down to `workers` empty buffers (keeping capacity) and
-/// reserves room for an even round-robin split of `trace`.
-fn reset_shards(shards: &mut Vec<Vec<Request>>, trace_len: usize, workers: usize) {
-    shards.resize_with(workers, Vec::new);
-    for s in shards.iter_mut() {
-        s.clear();
-        s.reserve(trace_len / workers + 1);
-    }
-}
-
-/// Splits a trace round-robin in trace order into the reused buffers.
-fn shard_into(trace: &[Request], workers: usize, shards: &mut Vec<Vec<Request>>) {
-    reset_shards(shards, trace.len(), workers);
+/// Splits a trace round-robin in trace order.
+fn shard(trace: &[Request], workers: usize) -> Vec<Vec<Request>> {
+    let mut shards = vec![Vec::with_capacity(trace.len() / workers + 1); workers];
     for (i, r) in trace.iter().enumerate() {
         shards[i % workers].push(*r);
     }
-}
-
-/// Splits a trace round-robin in trace order (test-only convenience; the
-/// entry points shard through [`shard_into`]).
-#[cfg(test)]
-fn shard(trace: &[Request], workers: usize) -> Vec<Vec<Request>> {
-    let mut shards = Vec::new();
-    shard_into(trace, workers, &mut shards);
     shards
 }
 
-/// Round-robin sharding into reused buffers that skips workers already
-/// dead at a request's arrival. With a crash-free plan this reduces
-/// exactly to [`shard_into`]. Returns the ids that found **no** live
-/// worker.
-fn shard_faulty_into(
+/// Round-robin sharding that skips workers already dead at a request's
+/// arrival. With a crash-free plan this reduces exactly to [`shard`].
+/// Returns the shards plus the ids that found **no** live worker.
+fn shard_faulty(
     trace: &[Request],
     plan: &FaultPlan,
     workers: usize,
-    shards: &mut Vec<Vec<Request>>,
-) -> Vec<u64> {
-    reset_shards(shards, trace.len(), workers);
+) -> (Vec<Vec<Request>>, Vec<u64>) {
+    let mut shards = vec![Vec::with_capacity(trace.len() / workers + 1); workers];
     let mut unserved = Vec::new();
     for (i, r) in trace.iter().enumerate() {
         let alive = |w: usize| {
@@ -183,7 +150,7 @@ fn shard_faulty_into(
             None => unserved.push(r.id),
         }
     }
-    unserved
+    (shards, unserved)
 }
 
 /// Simulates the trace across the pool's workers (concurrently, on the
@@ -198,30 +165,12 @@ pub fn simulate_pool(
     cfg: &PoolConfig,
     trace: &[Request],
 ) -> Result<SimOutcome, ServeError> {
-    let mut scratch = ShardScratch::default();
-    simulate_pool_with(cost, cfg, trace, &mut scratch)
-}
-
-/// [`simulate_pool`] with caller-owned shard buffers: repeated rounds of a
-/// serving loop reuse `scratch` instead of reallocating per call. The
-/// outcome is bit-identical to [`simulate_pool`].
-///
-/// # Errors
-///
-/// [`ServeError::InvalidPool`] on a zero-worker pool.
-pub fn simulate_pool_with(
-    cost: &CostModel,
-    cfg: &PoolConfig,
-    trace: &[Request],
-    scratch: &mut ShardScratch,
-) -> Result<SimOutcome, ServeError> {
     if cfg.workers == 0 {
         return Err(ServeError::InvalidPool(
             "worker count must be at least 1".into(),
         ));
     }
-    shard_into(trace, cfg.workers, &mut scratch.shards);
-    let shards = &scratch.shards;
+    let shards = shard(trace, cfg.workers);
     let outcomes = owlp_par::map_indexed(shards.len(), 1, |w| {
         scheduler::simulate(cost, &cfg.scheduler, &shards[w])
     });
@@ -249,26 +198,9 @@ pub fn simulate_pool_faulty(
     cfg: &FaultPoolConfig,
     trace: &[Request],
 ) -> Result<FaultSimOutcome, ServeError> {
-    let mut scratch = ShardScratch::default();
-    simulate_pool_faulty_with(cost, cfg, trace, &mut scratch)
-}
-
-/// [`simulate_pool_faulty`] with caller-owned shard buffers (see
-/// [`simulate_pool_with`]); bit-identical to the scratch-free entry point.
-///
-/// # Errors
-///
-/// See [`FaultPoolConfig::validate`].
-pub fn simulate_pool_faulty_with(
-    cost: &CostModel,
-    cfg: &FaultPoolConfig,
-    trace: &[Request],
-    scratch: &mut ShardScratch,
-) -> Result<FaultSimOutcome, ServeError> {
     cfg.validate()?;
     let workers = cfg.pool.workers;
-    let mut pool_shed = shard_faulty_into(trace, &cfg.plan, workers, &mut scratch.shards);
-    let shards = &mut scratch.shards;
+    let (mut shards, mut pool_shed) = shard_faulty(trace, &cfg.plan, workers);
     // One process-wide sampler: the criticality sweep prices a few
     // thousand dot products, no reason to pay it per worker or even per
     // pool run.
@@ -300,7 +232,7 @@ pub fn simulate_pool_faulty_with(
 
     let all: Vec<usize> = (0..workers).collect();
     let mut outcomes: Vec<Option<FaultSimOutcome>> = (0..workers).map(|_| None).collect();
-    for (w, out) in run_wave(shards, &all) {
+    for (w, out) in run_wave(&shards, &all) {
         outcomes[w] = Some(out);
     }
     let mut dirty = vec![false; workers];
@@ -356,7 +288,7 @@ pub fn simulate_pool_faulty_with(
     // Replay the survivors that picked up orphans, in parallel again.
     let redo: Vec<usize> = (0..workers).filter(|&w| dirty[w]).collect();
     if !redo.is_empty() {
-        for (w, out) in run_wave(shards, &redo) {
+        for (w, out) in run_wave(&shards, &redo) {
             outcomes[w] = Some(out);
         }
     }
@@ -488,8 +420,7 @@ mod tests {
     #[test]
     fn faulty_sharding_without_crashes_matches_plain() {
         let t = trace(24);
-        let mut shards = Vec::new();
-        let unserved = shard_faulty_into(&t, &FaultPlan::none(3), 3, &mut shards);
+        let (shards, unserved) = shard_faulty(&t, &FaultPlan::none(3), 3);
         assert_eq!(shards, shard(&t, 3));
         assert!(unserved.is_empty());
     }
@@ -499,8 +430,7 @@ mod tests {
         let t = trace(24);
         let mut plan = FaultPlan::none(3);
         plan.workers[1].crash_at_s = Some(0.0);
-        let mut shards = Vec::new();
-        let unserved = shard_faulty_into(&t, &plan, 3, &mut shards);
+        let (shards, unserved) = shard_faulty(&t, &plan, 3);
         assert!(shards[1].is_empty());
         assert_eq!(shards[0].len() + shards[2].len(), 24);
         assert!(unserved.is_empty());
@@ -508,49 +438,8 @@ mod tests {
         for w in &mut plan.workers {
             w.crash_at_s = Some(0.0);
         }
-        let unserved = shard_faulty_into(&t, &plan, 3, &mut shards);
+        let (_, unserved) = shard_faulty(&t, &plan, 3);
         assert_eq!(unserved.len(), 24);
-    }
-
-    #[test]
-    fn shard_buffers_adapt_when_reused_across_rounds() {
-        // One scratch driven through different worker counts and trace
-        // sizes must always re-shard from a clean slate.
-        let mut shards = Vec::new();
-        shard_into(&trace(30), 5, &mut shards);
-        assert_eq!(shards.len(), 5);
-        shard_into(&trace(10), 2, &mut shards);
-        assert_eq!(shards.len(), 2);
-        assert_eq!(shards, shard(&trace(10), 2));
-        shard_into(&trace(40), 7, &mut shards);
-        assert_eq!(shards, shard(&trace(40), 7));
-    }
-
-    #[test]
-    fn scratch_reuse_is_bit_identical_across_rounds() {
-        let cm = cost();
-        let cfg = PoolConfig {
-            workers: 3,
-            scheduler: SchedulerConfig::default(),
-        };
-        let mut scratch = ShardScratch::default();
-        // Several serving rounds over one reused scratch, interleaving
-        // plain and faulty entry points and varying trace lengths.
-        for requests in [90, 30, 120] {
-            let t = trace(requests);
-            let fresh = simulate_pool(&cm, &cfg, &t).unwrap();
-            let reused = simulate_pool_with(&cm, &cfg, &t, &mut scratch).unwrap();
-            assert_eq!(fresh, reused);
-            let mut fcfg = FaultPoolConfig {
-                plan: FaultPlan::none(3),
-                ..FaultPoolConfig::default()
-            };
-            fcfg.pool.workers = 3;
-            fcfg.plan.workers[1].crash_at_s = Some(t[t.len() / 2].arrival_s);
-            let fresh = simulate_pool_faulty(&cm, &fcfg, &t).unwrap();
-            let reused = simulate_pool_faulty_with(&cm, &fcfg, &t, &mut scratch).unwrap();
-            assert_eq!(fresh, reused);
-        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Integration: the zero-copy archive-v2 path — offline streaming encode →
 //! mmap load → GEMM straight off the mapped planes — is bit-identical to
-//! the in-memory prepare path on every tensor shape, outlier density, and
-//! SIMD tier.
+//! the in-memory prepare path on every tensor shape, outlier density, SIMD
+//! tier, and thread count.
 //!
 //! This is the storage analogue of `numerical_equivalence.rs`: the archive
 //! may change *where* the planes live (page cache instead of heap), but it
@@ -10,6 +10,7 @@
 use owlp_repro::arith::gemm::{owlp_gemm_prepared, PreparedTensor};
 use owlp_repro::arith::microkernel;
 use owlp_repro::format::{ArchiveWriter, Bf16, MappedArchive};
+use owlp_repro::par::with_threads;
 use proptest::prelude::*;
 use std::path::PathBuf;
 
@@ -46,7 +47,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Mapped GEMM == owned GEMM, bit for bit, at every available SIMD
-    /// tier. Shapes deliberately straddle panel/tile remainders (the
+    /// tier, serial and fanned out. Shapes deliberately straddle panel/tile remainders (the
     /// microkernel's `PANEL_K_PAD` and the digest tile size).
     #[test]
     fn mapped_gemm_is_bit_identical_to_owned(
@@ -81,13 +82,23 @@ proptest! {
         let owned = PreparedTensor::with_shape(&b, k, n).expect("finite weights prepare");
         let mapped = PreparedTensor::from_mapped(mapped_t);
         for &tier in microkernel::available_tiers() {
-            let (ro, rm) = microkernel::with_tier(tier, || {
-                let ro = owlp_gemm_prepared(&a, &owned, m, k, n).expect("owned gemm");
-                let rm = owlp_gemm_prepared(&a, &mapped, m, k, n).expect("mapped gemm");
-                (ro, rm)
-            });
-            for (x, y) in ro.output.iter().zip(&rm.output) {
-                prop_assert_eq!(x.to_bits(), y.to_bits(), "tier {} diverged", tier);
+            for threads in [1, 4] {
+                let (ro, rm) = microkernel::with_tier(tier, || {
+                    with_threads(threads, || {
+                        let ro = owlp_gemm_prepared(&a, &owned, m, k, n).expect("owned gemm");
+                        let rm = owlp_gemm_prepared(&a, &mapped, m, k, n).expect("mapped gemm");
+                        (ro, rm)
+                    })
+                });
+                for (x, y) in ro.output.iter().zip(&rm.output) {
+                    prop_assert_eq!(
+                        x.to_bits(),
+                        y.to_bits(),
+                        "tier {} at {} threads diverged",
+                        tier,
+                        threads
+                    );
+                }
             }
         }
         std::fs::remove_file(&path).ok();

@@ -11,8 +11,8 @@ use owlp_repro::arith::{exact_gemm, owlp_gemm, KulischAcc};
 use owlp_repro::format::{encode_tensor, Bf16};
 use owlp_repro::par::with_threads;
 use owlp_repro::serve::{
-    simulate_pool_faulty, summarize_faults, ArrivalProcess, CostModel, FaultPlan, FaultPoolConfig,
-    LengthDistribution, PoolConfig, RecoveryPolicy, SchedulerConfig, TraceSpec,
+    simulate_pool, simulate_pool_faulty, summarize_faults, ArrivalProcess, CostModel, FaultPlan,
+    FaultPoolConfig, LengthDistribution, PoolConfig, RecoveryPolicy, SchedulerConfig, TraceSpec,
 };
 use owlp_repro::systolic::{event_sim, ArrayConfig};
 use owlp_repro::{core::Accelerator, model::Dataset, model::ModelId};
@@ -162,7 +162,7 @@ proptest! {
     }
 }
 
-/// The fault-injected serving pool — including crash-ordered orphan
+/// The serving pool — plain, and fault-injected with crash-ordered orphan
 /// re-dispatch — replays bit-for-bit at every thread count, down to the
 /// metrics roll-up. One deterministic heavyweight case rather than a
 /// proptest: the cost model's shape tables make each run expensive.
@@ -194,10 +194,13 @@ fn faulty_pool_is_thread_count_invariant() {
             },
         },
     };
+    let plain = with_threads(1, || simulate_pool(&cost, &cfg.pool, &trace)).unwrap();
     let serial = with_threads(1, || simulate_pool_faulty(&cost, &cfg, &trace)).unwrap();
     assert!(serial.faults.crashed_workers > 0, "fault plan must fire");
     let serial_report = summarize_faults("owlp", 300.0, &serial);
     for t in THREADS {
+        let par = with_threads(t, || simulate_pool(&cost, &cfg.pool, &trace)).unwrap();
+        assert_eq!(par, plain, "{t} threads (plain pool)");
         let par = with_threads(t, || simulate_pool_faulty(&cost, &cfg, &trace)).unwrap();
         assert_eq!(par, serial, "{t} threads");
         assert_eq!(
