@@ -8,10 +8,10 @@
 use crate::align::AlignUnit;
 use crate::column::PeColumn;
 use crate::error::ArithError;
-use crate::kulisch::KulischAcc;
+use crate::lanes::{CallPlan, TileScratch};
 use crate::microkernel::{self, MR, MR8, NR};
 use crate::pe::PeConfig;
-use crate::window::{WindowAcc, OWLP_PRODUCT_BITS};
+use crate::window::WindowAcc;
 use owlp_format::decode::DecodedOperand;
 use owlp_format::{
     encode_tensor, encode_tensor_into, Bf16, EncodedTensor, MappedTensor, PackedOperands,
@@ -325,49 +325,6 @@ pub fn owlp_gemm_decoded(
     owlp_gemm_packed(packed_a, packed_b, None, m, k, n, config, align)
 }
 
-/// Merges a row's and a column's sorted outlier tables, yielding each
-/// tagged depth once with its pair of exponent terms — the shared exponent
-/// standing in for whichever side is untagged. This is the single walk the
-/// per-element outlier correction makes over the tag union.
-#[inline]
-fn for_each_tag(
-    rtags: &[(u32, i32)],
-    ctags: &[(u32, i32)],
-    shared_a: i32,
-    shared_w: i32,
-    mut f: impl FnMut(usize, i32, i32),
-) {
-    let (mut x, mut y) = (0usize, 0usize);
-    while x < rtags.len() || y < ctags.len() {
-        let (kk, ea, ew) = if y == ctags.len() || (x < rtags.len() && rtags[x].0 < ctags[y].0) {
-            let (kk, ea) = rtags[x];
-            x += 1;
-            (kk as usize, ea, shared_w)
-        } else if x == rtags.len() || ctags[y].0 < rtags[x].0 {
-            let (kk, ew) = ctags[y];
-            y += 1;
-            (kk as usize, shared_a, ew)
-        } else {
-            let (kk, ea) = rtags[x];
-            let ew = ctags[y].1;
-            x += 1;
-            y += 1;
-            (kk as usize, ea, ew)
-        };
-        f(kk, ea, ew);
-    }
-}
-
-/// Min/max exponent term over one tag list (`None` when untagged) — the
-/// per-row/per-column bound the correction uses to size its wide window
-/// without a per-element scan over the tags.
-fn tag_exp_bounds(tags: &[(u32, i32)]) -> Option<(i32, i32)> {
-    tags.iter().fold(None, |acc, &(_, e)| match acc {
-        None => Some((e, e)),
-        Some((lo, hi)) => Some((lo.min(e), hi.max(e))),
-    })
-}
-
 /// The full datapath drive loop, with optionally memoised weight panels.
 ///
 /// Under [`AlignUnit::Exact`] the m×n sweep runs in MR×NR register tiles:
@@ -375,24 +332,31 @@ fn tag_exp_bounds(tags: &[(u32, i32)]) -> Option<(i32, i32)> {
 /// outer-product dot over the activation sval rows and one
 /// [`PackedPanels`] panel, partial-summing `i64` lanes that spill into a
 /// per-element [`WindowAcc`] on the shared-exponent frame (no overflow by
-/// the K_SPILL bound — see the microkernel docs). Outliers stay
-/// *segmented out of the hot loop*: the few tagged positions — found by
-/// merging the row's and column's sorted outlier tables, i.e. exactly the
-/// segments [`PackedOperands::range_has_tagged`] would flag — are then
-/// corrected per element: their as-if-normal term is subtracted and the
-/// true outlier product (same integer magnitude, frame rebuilt from the
-/// outliers' own exponents exactly as the PE's outlier bypass does) is
-/// added back through a second, dynamically sized window, or through a
-/// [`KulischAcc`] when the frame span outgrows an `i128`. Every path
-/// computes the exact sum and rounds once with the same RNE conversion,
-/// so the result is bit-identical to driving the PE column; the outlier
+/// the K_SPILL bound — see the microkernel docs). Outliers stay out of
+/// the hot loop: the kernel sums every product as if both operands were
+/// normal, and each finished tile is corrected by *band lanes*
+/// ([`owlp_format::bands`]) — per row band an `NR`-lane dot of `i32`
+/// delta coefficients against the panel, per column band an `MR`-lane dot
+/// against the gathered activation column, plus the exact residual of the
+/// depths tagged on both sides. The true outlier products thereby land on
+/// the frames the PE's bypass path rebuilds from the outliers' own
+/// exponents. Each element folds its window, its lanes and its residual
+/// into one [`WindowAcc`] — or a [`crate::kulisch::KulischAcc`] when the frame span
+/// outgrows an `i128` — and rounds once with the same RNE conversion, so
+/// the result is bit-identical to driving the PE column; the outlier
 /// statistics count exactly the nonzero tagged products the PE's bypass
 /// path would carry. Runs under an [`AlignUnit::Bounded`] policy are
 /// order-sensitive and keep the full [`PeColumn`] datapath.
 ///
 /// `panels` (when `Some` and shape-matched) must be
 /// `packed_b.pack_panels(k, n)` — [`PreparedTensor::with_shape`] memoises
-/// exactly that; mismatched or absent panels are rebuilt here.
+/// exactly that; mismatched or absent panels are rebuilt here. The
+/// weight's column band tables are memoised on `panels` by the first call
+/// ([`PackedPanels::column_bands`]), so every later call with the same
+/// panels plans only the activation side. A weight of at most 512
+/// elements — one decode token's attention head, say — is instead planned
+/// per call on buffers the calling thread keeps, as small activations are:
+/// its tables cost less to build than to allocate.
 ///
 /// # Errors
 ///
@@ -475,57 +439,6 @@ fn owlp_gemm_packed_impl<const ABFT: bool>(
     let shared_w = packed_b.shared_exp();
     let fast_ok = matches!(align, AlignUnit::Exact);
     debug_assert!(fast_ok || !ABFT, "ABFT requires the exact align unit");
-    // Tagged-position tables, hoisted out of the m×n loop: for each
-    // activation row and weight column, the in-row/in-column offsets of its
-    // tagged outliers plus their decoded exponent term (`max(exp, 1)`, the
-    // PE's subnormal-outlier clamp). Both lists come out sorted because the
-    // packed side tables are position-sorted.
-    let mut row_tags: Vec<Vec<(u32, i32)>> = vec![Vec::new(); if fast_ok { m } else { 0 }];
-    let mut col_tags: Vec<Vec<(u32, i32)>> = vec![Vec::new(); if fast_ok { n } else { 0 }];
-    if fast_ok {
-        for (&p, &e) in packed_a
-            .outlier_positions()
-            .iter()
-            .zip(packed_a.outlier_exps())
-        {
-            row_tags[p as usize / k].push((p % k as u32, e.max(1) as i32));
-        }
-        for (&p, &e) in packed_b
-            .outlier_positions()
-            .iter()
-            .zip(packed_b.outlier_exps())
-        {
-            col_tags[p as usize % n].push((p / n as u32, e.max(1) as i32));
-        }
-    }
-    // Per-row/per-column exponent-term bounds, hoisted out of the m×n
-    // sweep: the correction sizes its wide window from these instead of
-    // re-scanning each element's tag union. The bound is conservative (it
-    // also covers the doubly-tagged cross term whether or not one occurs),
-    // which can only push the rare huge-span case onto the Kulisch
-    // fallback — both paths compute the same exact sum.
-    let row_ea: Vec<Option<(i32, i32)>> = row_tags.iter().map(|t| tag_exp_bounds(t)).collect();
-    let col_ew: Vec<Option<(i32, i32)>> = col_tags.iter().map(|t| tag_exp_bounds(t)).collect();
-    // Tagged-depth bitmasks (one `k`-bit mask per row/column, flat at
-    // `mask_words` words each): the correction tests `row ∩ column` with a
-    // couple of word ANDs and only falls back to the branchy merged walk
-    // when a depth really is tagged on both sides — rare, and the only
-    // case whose rebuilt frame can escape the singly-tagged bounds.
-    let mask_words = k.div_ceil(64).max(1);
-    let mut row_masks = vec![0u64; if fast_ok { m * mask_words } else { 0 }];
-    let mut col_masks = vec![0u64; if fast_ok { n * mask_words } else { 0 }];
-    if fast_ok {
-        for (i, tags) in row_tags.iter().enumerate() {
-            for &(kk, _) in tags {
-                row_masks[i * mask_words + kk as usize / 64] |= 1u64 << (kk % 64);
-            }
-        }
-        for (j, tags) in col_tags.iter().enumerate() {
-            for &(kk, _) in tags {
-                col_masks[j * mask_words + kk as usize / 64] |= 1u64 << (kk % 64);
-            }
-        }
-    }
     let a_sval = packed_a.svals();
     let win0 = WindowAcc::for_owlp_normal(shared_a, shared_w, k);
     // Weight panels for the microkernel: reuse the caller's memoised set
@@ -540,6 +453,18 @@ fn owlp_gemm_packed_impl<const ABFT: bool>(
     } else {
         None
     };
+    // Resolved before the fan-out so a `with_tier` override on this thread
+    // (tests, per-tier benches) applies inside every pool worker.
+    let tier = microkernel::selected_tier();
+    // The outlier plan, hoisted out of the m×n sweep: the weight's column
+    // band tables (memoised on its panels — built on the first GEMM, once
+    // per weight — unless the weight is small), the activation's row band
+    // tables and the row depth index (per call, O(tags + m·k/64)).
+    let call_plan = panels.map(|p| CallPlan::new(packed_a, m, k, packed_b, p));
+    let plan = call_plan
+        .as_ref()
+        .zip(panels)
+        .map(|(c, p)| c.plan(packed_b, p, a_sval, k, tier));
     // All-zero activation row standing in for the `m % MR` edge rows: zero
     // svals contribute nothing, so the full-size kernel handles edges.
     let zero_row = vec![0i16; k];
@@ -568,9 +493,6 @@ fn owlp_gemm_packed_impl<const ABFT: bool>(
         }
     };
     let col_ops = 2 * (k as u64).saturating_mul(m as u64).max(1);
-    // Resolved before the fan-out so a `with_tier` override on this thread
-    // (tests, per-tier benches) applies inside every pool worker.
-    let tier = microkernel::selected_tier();
     // The widened 8×NR tile only pays on AVX2, where it amortizes one
     // panel load + interleave over eight rows; on every other tier it
     // would compute the same two MR-tile calls the 4-row loop already
@@ -589,212 +511,58 @@ fn owlp_gemm_packed_impl<const ABFT: bool>(
         if fast_ok {
             let panels = panels.expect("panels are built whenever the fast path runs");
             values = vec![0.0f32; cols.len() * m];
-            // Doubly-tagged products whose frame escapes the sized window
-            // (rare) — reused across elements.
-            let mut extras: Vec<(i64, i32)> = Vec::new();
+            let plan = plan
+                .as_ref()
+                .expect("the plan is built whenever the fast path runs");
+            let mut scratch = TileScratch::take();
             // Finalizes one MR×NR window tile into `values`: the sanctioned
-            // strike, the ABFT checksum partials, and the per-element
-            // outlier-correction walk. Shared by the single-stripe path
-            // (windows straight out of `tile_dot`) and the multi-stripe
-            // path (windows rebuilt from the persistent lane plane), so the
-            // correction logic exists in exactly one copy.
+            // strike, the ABFT checksum partials, and the band-lane outlier
+            // correction. Shared by the single-stripe path (windows straight
+            // out of `tile_dot`) and the multi-stripe path (windows rebuilt
+            // from the persistent lane plane), so the correction logic
+            // exists in exactly one copy.
             let mut finalize_tile =
                 |wins: &[[WindowAcc; NR]; MR], ib: usize, jb: usize, panel: &[i16]| {
                     let mr = MR.min(m - ib);
                     let nr = NR.min(cols.end - jb);
-                    // Tile-local checksum partials: the per-element i128
-                    // read-modify-writes on the chunk-wide sum vectors are
-                    // batched into registers here and flushed once per tile
-                    // (i128 addition is exact and order-free, so the
-                    // checksums are unchanged bit for bit).
-                    let mut tile_rs = [0i128; MR];
-                    let mut tile_cs = [0i128; NR];
-                    for (r, wins_row) in wins.iter().enumerate().take(mr) {
-                        let i = ib + r;
-                        let rtags = &row_tags[i];
-                        let rmask = &row_masks[i * mask_words..(i + 1) * mask_words];
-                        let row_sval = &a_sval[i * k..(i + 1) * k];
-                        for (c, &tile_win) in wins_row.iter().enumerate().take(nr) {
-                            let j = jb + c;
-                            let ctags = &col_tags[j];
-                            let mut win = tile_win;
-                            let out_idx = (j - cols.start) * m + i;
-                            // The sanctioned upset lands on the raw lane
-                            // *before* checksum collection: output and
-                            // checksums corrupt consistently, exactly as an
-                            // in-flight strike would. Compiled out of the
-                            // non-ABFT monomorphization.
-                            if ABFT {
-                                if let Some(s) = strike {
-                                    if s.i == i && s.j == j {
-                                        win.toggle_bit(s.bit);
-                                    }
-                                }
-                                tile_rs[r] += win.raw();
-                                tile_cs[c] += win.raw();
-                            }
-                            if rtags.is_empty() && ctags.is_empty() {
-                                values[out_idx] = win.round_to_f32();
-                                continue;
-                            }
-                            // Correction walk over the merged union of
-                            // tagged positions: pull each tagged product out
-                            // of the shared frame and rebuild it on its true
-                            // outlier frame — `max(exp, 1)` replacing the
-                            // shared exponent on each tagged side, exactly
-                            // the PE's bypass-path frame. Zero products stay
-                            // on the normal path (the PE never routes them
-                            // to an outlier slot). One pass: the wide window
-                            // is sized up front from the hoisted per-row/
-                            // per-column exponent bounds, so each tagged
-                            // product is subtracted and re-added in the same
-                            // step. Falls back to the Kulisch register only
-                            // when the bounded span outgrows an i128.
-                            // The window is sized from the singly-tagged
-                            // bounds only: a doubly-tagged depth (both the
-                            // row and the column tag the same kk — rare,
-                            // and the only case whose frame can escape
-                            // these bounds) is diverted to the `extras`
-                            // side list and folded in afterwards.
-                            let mut lo = win.frame();
-                            let mut hi = lo + OWLP_PRODUCT_BITS;
-                            if let Some((elo, ehi)) = row_ea[i] {
-                                lo = lo.min(elo + shared_w as i32 - 268);
-                                hi = hi.max(ehi + shared_w as i32 - 268 + OWLP_PRODUCT_BITS);
-                            }
-                            if let Some((elo, ehi)) = col_ew[j] {
-                                lo = lo.min(shared_a as i32 + elo - 268);
-                                hi = hi.max(shared_a as i32 + ehi - 268 + OWLP_PRODUCT_BITS);
-                            }
-                            let terms = (k + rtags.len() + ctags.len()) as u64;
-                            let mut routed = 0usize;
-                            match WindowAcc::for_span(lo, hi, terms) {
-                                Some(mut wide) => {
-                                    let cmask = &col_masks[j * mask_words..(j + 1) * mask_words];
-                                    let disjoint = rmask.iter().zip(cmask).all(|(a, b)| a & b == 0);
-                                    if disjoint {
-                                        // No depth is tagged on both sides:
-                                        // two straight sweeps, each rebuilt
-                                        // frame provably inside the window
-                                        // by the singly-tagged bounds above.
-                                        // Same signed integer the kernel
-                                        // added: the sval product folds sign
-                                        // and the 4·(sh_a + sh_w) shift.
-                                        for &(kk, ea) in rtags.iter() {
-                                            let kk = kk as usize;
-                                            let v = row_sval[kk] as i64 * panel[kk * NR + c] as i64;
-                                            if v == 0 {
-                                                continue;
-                                            }
-                                            win.add_aligned(-v);
-                                            wide.add(v, ea + shared_w as i32 - 268);
-                                            routed += 1;
-                                        }
-                                        for &(kk, ew) in ctags.iter() {
-                                            let kk = kk as usize;
-                                            let v = row_sval[kk] as i64 * panel[kk * NR + c] as i64;
-                                            if v == 0 {
-                                                continue;
-                                            }
-                                            win.add_aligned(-v);
-                                            wide.add(v, shared_a as i32 + ew - 268);
-                                            routed += 1;
-                                        }
-                                        values[out_idx] = if routed == 0 {
-                                            // Every tagged product was zero —
-                                            // the shared-frame window already
-                                            // holds the exact sum.
-                                            win.round_to_f32()
-                                        } else {
-                                            wide.add_window(&win);
-                                            wide.round_to_f32()
-                                        };
-                                        max_wavefront = max_wavefront.max(routed);
-                                        total += routed;
-                                        continue;
-                                    }
-                                    let hi_fit = hi - OWLP_PRODUCT_BITS;
-                                    extras.clear();
-                                    for_each_tag(
-                                        rtags,
-                                        ctags,
-                                        shared_a as i32,
-                                        shared_w as i32,
-                                        |kk, ea, ew| {
-                                            let v = row_sval[kk] as i64 * panel[kk * NR + c] as i64;
-                                            if v == 0 {
-                                                return;
-                                            }
-                                            win.add_aligned(-v);
-                                            let f = ea + ew - 268;
-                                            if f >= lo && f <= hi_fit {
-                                                wide.add(v, f);
-                                            } else {
-                                                extras.push((v, f));
-                                            }
-                                            routed += 1;
-                                        },
-                                    );
-                                    values[out_idx] = if !extras.is_empty() {
-                                        // A doubly-tagged frame escaped the
-                                        // window — take everything through
-                                        // the Kulisch register.
-                                        let mut acc = KulischAcc::new();
-                                        win.merge_into(&mut acc);
-                                        wide.merge_into(&mut acc);
-                                        for &(v, f) in extras.iter() {
-                                            acc.add_scaled(v, f);
-                                        }
-                                        acc.round_to_f32()
-                                    } else if routed == 0 {
-                                        // Every tagged product was zero — the
-                                        // shared-frame window already holds
-                                        // the exact sum.
-                                        win.round_to_f32()
-                                    } else {
-                                        wide.add_window(&win);
-                                        wide.round_to_f32()
-                                    };
-                                }
-                                None => {
-                                    let mut acc = KulischAcc::new();
-                                    for_each_tag(
-                                        rtags,
-                                        ctags,
-                                        shared_a as i32,
-                                        shared_w as i32,
-                                        |kk, ea, ew| {
-                                            let v = row_sval[kk] as i64 * panel[kk * NR + c] as i64;
-                                            if v == 0 {
-                                                return;
-                                            }
-                                            win.add_aligned(-v);
-                                            acc.add_scaled(v, ea + ew - 268);
-                                            routed += 1;
-                                        },
-                                    );
-                                    values[out_idx] = if routed == 0 {
-                                        win.round_to_f32()
-                                    } else {
-                                        win.merge_into(&mut acc);
-                                        acc.round_to_f32()
-                                    };
-                                }
-                            }
-                            max_wavefront = max_wavefront.max(routed);
-                            total += routed;
-                        }
-                    }
+                    let mut wins = *wins;
+                    // The sanctioned upset lands on the raw lane *before*
+                    // checksum collection: output and checksums corrupt
+                    // consistently, exactly as an in-flight strike would.
+                    // Compiled out of the non-ABFT monomorphization.
                     if ABFT {
-                        if let Some((rs, cs)) = sums.as_mut() {
-                            for (r, part) in tile_rs.iter().enumerate().take(mr) {
-                                rs[ib + r] += part;
+                        if let Some(s) = strike {
+                            if (ib..ib + mr).contains(&s.i) && (jb..jb + nr).contains(&s.j) {
+                                wins[s.i - ib][s.j - jb].toggle_bit(s.bit);
                             }
-                            for (c, part) in tile_cs.iter().enumerate().take(nr) {
-                                cs[jb + c - cols.start] += part;
+                        }
+                        // Tile-local checksum partials, flushed once per
+                        // tile (i128 addition is exact and order-free, so
+                        // the checksums are unchanged bit for bit).
+                        if let Some((rs, cs)) = sums.as_mut() {
+                            for (r, wins_row) in wins.iter().enumerate().take(mr) {
+                                for (c, win) in wins_row.iter().enumerate().take(nr) {
+                                    rs[ib + r] += win.raw();
+                                    cs[jb + c - cols.start] += win.raw();
+                                }
                             }
                         }
                     }
+                    plan.correct_tile(
+                        &mut scratch,
+                        &wins,
+                        ib,
+                        mr,
+                        jb,
+                        nr,
+                        panel,
+                        &zero_row,
+                        |r, c, out| {
+                            values[(jb + c - cols.start) * m + ib + r] = out.value;
+                            max_wavefront = max_wavefront.max(out.routed);
+                            total += out.routed;
+                        },
+                    );
                 };
             // BLIS-style blocked traversal of this chunk's column range.
             // Blocking is pure re-association of the same exact integer
@@ -947,6 +715,7 @@ fn owlp_gemm_packed_impl<const ABFT: bool>(
                 }
                 jc = hi_col;
             }
+            scratch.keep();
         } else {
             values = Vec::with_capacity(cols.len() * m);
             // Bounded align reduces contributions in the PE column's
@@ -969,6 +738,9 @@ fn owlp_gemm_packed_impl<const ABFT: bool>(
         }
         (j0, values, max_wavefront, total, sums)
     });
+    if let Some(c) = call_plan {
+        c.finish(m, k);
+    }
     let mut output = vec![0.0f32; m * n];
     let mut max_wavefront = 0usize;
     let mut total_outlier_products = 0usize;
@@ -1322,6 +1094,130 @@ mod tests {
         for t in [2, 4, 8] {
             assert_eq!(owlp_par::with_threads(t, run), serial, "{t} threads");
         }
+    }
+
+    /// A `k×n` weight with outliers on most columns, its packed planes and
+    /// an activation to multiply it with.
+    fn memo_case() -> (
+        Vec<Bf16>,
+        PackedOperands,
+        PackedOperands,
+        (usize, usize, usize),
+    ) {
+        let (m, k, n) = (9, 45, 13);
+        let a = synth(m * k, 61, 7);
+        let b = synth(k * n, 62, 5);
+        let pa = encode_tensor(&a, None).unwrap().decode_packed();
+        let pb = encode_tensor(&b, None).unwrap().decode_packed();
+        (b, pa, pb, (m, k, n))
+    }
+
+    fn run_packed(
+        pa: &PackedOperands,
+        pb: &PackedOperands,
+        panels: Option<&PackedPanels>,
+        (m, k, n): (usize, usize, usize),
+    ) -> OwlpGemmOutput {
+        owlp_gemm_packed(pa, pb, panels, m, k, n, PeConfig::PAPER, AlignUnit::Exact).unwrap()
+    }
+
+    #[test]
+    fn panel_strike_drops_the_band_memo() {
+        let (_, pa, pb, dims @ (_, k, n)) = memo_case();
+        let mut panels = pb.pack_panels(k, n);
+        let clean = run_packed(&pa, &pb, Some(&panels), dims);
+        assert!(
+            panels.memoised_bands().is_some(),
+            "the first GEMM builds the memo"
+        );
+        // Strike the panel word of a tagged weight entry: its band
+        // coefficient is derived from that word.
+        let p = pb.outlier_positions()[pb.tagged_count() / 2] as usize;
+        let (kk, j) = (p / n, p % n);
+        let index = (j / NR) * panels.padded_k() * NR + kk * NR + j % NR;
+        panels.flip_bit(index, 6);
+        assert!(panels.memoised_bands().is_none(), "a strike drops the memo");
+        let struck = run_packed(&pa, &pb, Some(&panels), dims);
+        let mut fresh = pb.pack_panels(k, n);
+        fresh.flip_bit(index, 6);
+        assert_eq!(struck, run_packed(&pa, &pb, Some(&fresh), dims));
+        assert_ne!(struck.output, clean.output, "the strike reaches the output");
+        // The involution restores the clean result through a rebuilt memo.
+        panels.flip_bit(index, 6);
+        assert_eq!(run_packed(&pa, &pb, Some(&panels), dims), clean);
+    }
+
+    #[test]
+    fn clone_and_eq_ignore_the_band_memo() {
+        let (_, pa, pb, dims @ (_, k, n)) = memo_case();
+        let panels = pb.pack_panels(k, n);
+        let bare = panels.clone();
+        let out = run_packed(&pa, &pb, Some(&panels), dims);
+        assert!(panels.memoised_bands().is_some());
+        assert!(bare.memoised_bands().is_none());
+        assert_eq!(panels, bare, "equality compares the panel words only");
+        let copy = panels.clone();
+        assert_eq!(copy, panels);
+        assert_eq!(copy.memoised_bands(), panels.memoised_bands());
+        assert_eq!(run_packed(&pa, &pb, Some(&copy), dims), out);
+        assert_eq!(run_packed(&pa, &pb, Some(&bare), dims), out);
+    }
+
+    #[test]
+    fn band_memo_is_built_once_across_calls_and_threads() {
+        let (b, pa, pb, dims @ (m, k, n)) = memo_case();
+        let panels = pb.pack_panels(k, n);
+        // All four first calls race for the unbuilt memo.
+        let start = std::sync::Barrier::new(4);
+        let outs: Vec<(OwlpGemmOutput, usize)> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..4)
+                .map(|t| {
+                    let (pa, pb, panels, start) = (&pa, &pb, &panels, &start);
+                    s.spawn(move || {
+                        start.wait();
+                        let out = owlp_par::with_threads(1 + t % 2 * 3, || {
+                            run_packed(pa, pb, Some(panels), dims)
+                        });
+                        let memo = panels.memoised_bands().expect("built by the call");
+                        (out, memo as *const owlp_format::OutlierBands as usize)
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        let memo = panels.memoised_bands().unwrap() as *const owlp_format::OutlierBands as usize;
+        for (out, seen) in &outs {
+            assert_eq!(out, &outs[0].0);
+            assert_eq!(*seen, memo, "every call reads the one memo");
+        }
+        assert_eq!(run_packed(&pa, &pb, Some(&panels), dims), outs[0].0);
+        let again = panels.memoised_bands().unwrap() as *const owlp_format::OutlierBands as usize;
+        assert_eq!(again, memo, "later calls reuse it");
+        // `PreparedTensor::with_shape` memoises through the same panels.
+        let shaped = PreparedTensor::with_shape(&b, k, n).unwrap();
+        assert!(shaped.panels().unwrap().memoised_bands().is_none());
+        let a: Vec<Bf16> = pa.to_bf16_vec();
+        owlp_gemm_prepared(&a, &shaped, m, k, n).unwrap();
+        assert!(shaped.panels().unwrap().memoised_bands().is_some());
+    }
+
+    #[test]
+    fn small_weights_are_planned_per_call_without_a_memo() {
+        // 16×8 = 128 weight elements: one decode head's key column, say.
+        let (m, k, n) = (3, 16, 8);
+        let pa = encode_tensor(&synth(m * k, 71, 3), None)
+            .unwrap()
+            .decode_packed();
+        let pb = encode_tensor(&synth(k * n, 72, 3), None)
+            .unwrap()
+            .decode_packed();
+        let panels = pb.pack_panels(k, n);
+        let first = run_packed(&pa, &pb, Some(&panels), (m, k, n));
+        assert!(first.total_outlier_products > 0, "the case has outliers");
+        assert!(panels.memoised_bands().is_none());
+        // The second call reuses the thread's kept buffers, bit for bit.
+        assert_eq!(run_packed(&pa, &pb, Some(&panels), (m, k, n)), first);
+        assert_eq!(run_packed(&pa, &pb, None, (m, k, n)), first);
     }
 
     #[test]

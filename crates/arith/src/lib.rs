@@ -59,6 +59,7 @@ pub mod fpmac;
 pub mod gemm;
 pub mod int2fp;
 pub mod kulisch;
+mod lanes;
 pub mod microkernel;
 pub mod pe;
 pub mod pipeline;

@@ -331,21 +331,69 @@ pub fn tile_dot_i32_with(tier: KernelTier, a_rows: [&[i32]; MR], panel: &[i32]) 
     lanes
 }
 
+/// One band of the GEMM's outlier correction (see `owlp_format::bands`):
+/// `lanes[c] = Σ coefs[x] · panel[depths[x]·NR + c]`, on the
+/// process-selected tier. With `counts`, also adds to `counts[c]` how many
+/// of those panel words are nonzero — the outlier products the PE's
+/// bypass path carries.
+///
+/// Exact in `i64`: a coefficient is below `2^31` and a panel word at most
+/// `2^15` in magnitude, and a band holds at most
+/// [`owlp_format::bands::BAND_MAX_RECORDS`] `= 2^16` records, so every lane
+/// stays below `2^62`.
+#[inline]
+pub fn band_dot(
+    depths: &[u32],
+    coefs: &[i32],
+    panel: &[i16],
+    counts: Option<&mut [u32; NR]>,
+) -> [i64; NR] {
+    band_dot_with(selected_tier(), depths, coefs, panel, counts)
+}
+
+/// [`band_dot`] on an explicit (clamped) tier. Only AVX2 has a vector
+/// path (signed `i32×i32→i64` lanes); every other tier runs the scalar
+/// oracle.
+#[inline]
+pub fn band_dot_with(
+    tier: KernelTier,
+    depths: &[u32],
+    coefs: &[i32],
+    panel: &[i16],
+    counts: Option<&mut [u32; NR]>,
+) -> [i64; NR] {
+    debug_assert_eq!(depths.len(), coefs.len());
+    debug_assert!(depths.len() <= owlp_format::bands::BAND_MAX_RECORDS);
+    match dispatch::clamp(tier) {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `clamp` only yields Avx2 when runtime detection saw it.
+        KernelTier::Avx2 => unsafe { x86::band_dot_avx2(depths, coefs, panel, counts) },
+        _ => scalar::band_dot(depths, coefs, panel, counts),
+    }
+}
+
 /// The tier each public entry point *effectively* runs on under the
 /// current selection — they differ only where an ISA level lacks the
-/// needed instruction (Sse2's `tile_dot_i32`). For `repro features`.
-pub fn entry_point_tiers() -> [(&'static str, KernelTier); 4] {
+/// needed instruction (Sse2's `tile_dot_i32`, every non-AVX2 tier's
+/// `band_dot`). For `repro features`.
+pub fn entry_point_tiers() -> [(&'static str, KernelTier); 5] {
     let t = selected_tier();
     let i32_tier = if t == KernelTier::Sse2 {
         KernelTier::Scalar
     } else {
         t
     };
+    let band_tier = if t == KernelTier::Avx2 {
+        t
+    } else {
+        KernelTier::Scalar
+    };
     [
         ("tile_dot_i16", t),
         ("tile_dot_i16_x8", t),
         ("tile_dot_i32", i32_tier),
         ("dot_sval", t),
+        ("band_dot", band_tier),
     ]
 }
 
@@ -582,9 +630,51 @@ mod tests {
     }
 
     #[test]
+    fn band_dot_matches_scalar_at_extreme_words() {
+        // Widest coefficients against extreme panel words, repeated
+        // depths, zero words, and the bounds the lane proof rests on.
+        let k = 37;
+        let mut state = 0x5EEDu64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        const WORDS: [i16; 7] = [0, 1, -1, 255, -255, i16::MAX, i16::MIN];
+        const COEFS: [i32; 6] = [1, -1, 255 << 23, -(255 << 23), i32::MAX, -i32::MAX];
+        let panel: Vec<i16> = (0..k * NR).map(|_| WORDS[(next() % 7) as usize]).collect();
+        let depths: Vec<u32> = (0..300).map(|_| (next() % k as u64) as u32).collect();
+        let coefs: Vec<i32> = (0..300).map(|_| COEFS[(next() % 6) as usize]).collect();
+        let mut want_counts = [3u32; NR];
+        let want = band_dot_with(
+            KernelTier::Scalar,
+            &depths,
+            &coefs,
+            &panel,
+            Some(&mut want_counts),
+        );
+        for c in 0..NR {
+            let lane: i64 = depths
+                .iter()
+                .zip(&coefs)
+                .map(|(&kk, &cf)| cf as i64 * panel[kk as usize * NR + c] as i64)
+                .sum();
+            assert_eq!(want[c], lane);
+        }
+        for &tier in available_tiers() {
+            let mut counts = [3u32; NR];
+            let got = band_dot_with(tier, &depths, &coefs, &panel, Some(&mut counts));
+            assert_eq!(got, want, "tier {tier}");
+            assert_eq!(counts, want_counts, "tier {tier}");
+            assert_eq!(band_dot_with(tier, &depths, &coefs, &panel, None), want);
+        }
+    }
+
+    #[test]
     fn entry_point_tiers_are_consistent() {
         let tiers = entry_point_tiers();
-        assert_eq!(tiers.len(), 4);
+        assert_eq!(tiers.len(), 5);
         for (name, tier) in tiers {
             assert!(
                 available_tiers().contains(&tier),

@@ -56,3 +56,29 @@ pub fn tile_mul_i32(a_rows: [&[i32]; MR], panel: &[i32], lanes: &mut [[i64; NR];
         }
     }
 }
+
+/// Scalar tier of [`super::band_dot`]: one `i32×i16→i64` product per
+/// record and column, plus the nonzero-word count when asked.
+#[inline]
+pub fn band_dot(
+    depths: &[u32],
+    coefs: &[i32],
+    panel: &[i16],
+    counts: Option<&mut [u32; NR]>,
+) -> [i64; NR] {
+    let mut lanes = [0i64; NR];
+    let mut nonzero = [0u32; NR];
+    for (&kk, &cf) in depths.iter().zip(coefs) {
+        let b = &panel[kk as usize * NR..kk as usize * NR + NR];
+        for c in 0..NR {
+            lanes[c] += cf as i64 * b[c] as i64;
+            nonzero[c] += u32::from(b[c] != 0);
+        }
+    }
+    if let Some(counts) = counts {
+        for (n, z) in counts.iter_mut().zip(nonzero) {
+            *n += z;
+        }
+    }
+    lanes
+}

@@ -264,3 +264,42 @@ pub unsafe fn tile_mul_i32_avx2(a_rows: [&[i32]; MR], panel: &[i32], lanes: &mut
         }
     }
 }
+
+/// AVX2 tier of [`super::band_dot`]: one record per step — the panel row's
+/// four `i16` words sign-extend into `i64` lanes, and `mul_epi32` takes
+/// the exact signed `i32×i32→i64` product of each lane's low half with the
+/// broadcast coefficient. Same per-lane sum as the scalar oracle.
+///
+/// # Safety
+/// The caller must have verified AVX2 support (`dispatch::clamp` /
+/// `available_tiers`).
+#[target_feature(enable = "avx2")]
+pub unsafe fn band_dot_avx2(
+    depths: &[u32],
+    coefs: &[i32],
+    panel: &[i16],
+    counts: Option<&mut [u32; NR]>,
+) -> [i64; NR] {
+    let zero = _mm256_setzero_si256();
+    let mut acc = zero;
+    let mut zeros = zero;
+    for (&kk, &cf) in depths.iter().zip(coefs) {
+        let b = &panel[kk as usize * NR..kk as usize * NR + NR];
+        // `b` holds exactly NR = 4 i16 words: the 8 bytes loaded.
+        let p = _mm256_cvtepi16_epi64(_mm_loadl_epi64(b.as_ptr() as *const __m128i));
+        acc = _mm256_add_epi64(acc, _mm256_mul_epi32(_mm256_set1_epi64x(cf as i64), p));
+        zeros = _mm256_sub_epi64(zeros, _mm256_cmpeq_epi64(p, zero));
+    }
+    let mut lanes = [0i64; NR];
+    let mut z = [0i64; NR];
+    // Both destinations are 4 × i64 = 32 bytes.
+    _mm256_storeu_si256(lanes.as_mut_ptr() as *mut __m256i, acc);
+    _mm256_storeu_si256(z.as_mut_ptr() as *mut __m256i, zeros);
+    if let Some(counts) = counts {
+        let records = depths.len().min(coefs.len()) as u32;
+        for (n, z) in counts.iter_mut().zip(z) {
+            *n += records - z as u32;
+        }
+    }
+    lanes
+}

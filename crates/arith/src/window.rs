@@ -112,6 +112,19 @@ impl WindowAcc {
         self.acc += mag as i128;
     }
 
+    /// Adds `v × 2^frame` exactly for a full-width `i128` value
+    /// (`frame ≥ lo`; the caller proves the shifted sum fits, e.g. by
+    /// sizing the window with [`WindowAcc::for_span`]).
+    #[inline]
+    pub fn add_wide(&mut self, v: i128, frame: i32) {
+        debug_assert!(
+            frame >= self.lo,
+            "term frame {frame} below window {}",
+            self.lo
+        );
+        self.acc += v << (frame - self.lo);
+    }
+
     /// Adds another window's exact value (`other.lo ≥ self.lo`; the caller
     /// proves the combined sum fits, e.g. by sizing `self` with
     /// [`WindowAcc::for_span`] over both workloads).

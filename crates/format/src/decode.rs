@@ -138,8 +138,14 @@ impl DecodedOperand {
             // untagged by the decoder's zero rule).
             return Bf16::from_bits(sign);
         }
-        let pre = 15 - self.mag.leading_zeros() - Bf16::FRAC_BITS;
-        debug_assert!(pre <= Self::MAX_PRE_SHIFT, "magnitude exceeds a normal's");
+        // A decoded normal keeps its hidden bit at position 7 + pre with
+        // pre ≤ MAX_PRE_SHIFT, where the mask is the identity. Planes from
+        // an unverified archive view can hold any magnitude; wrapping and
+        // masking map those to *some* value rather than panicking.
+        let pre = 15u32
+            .wrapping_sub(self.mag.leading_zeros())
+            .wrapping_sub(Bf16::FRAC_BITS)
+            & Self::MAX_PRE_SHIFT;
         let frac = (self.mag >> pre) & 0x7F;
         let bias = pre as u16 | (self.sh as u16) << 2;
         Bf16::from_bits(sign | (u16::from(shared_exp) + bias) << Bf16::FRAC_BITS | frac)

@@ -43,6 +43,7 @@
 pub mod aligned;
 pub mod archive;
 pub mod archive2;
+pub mod bands;
 pub mod bf16;
 pub mod bitstream;
 pub mod blocking;
@@ -66,6 +67,7 @@ pub use archive2::{
     stream_budget_from_env, ArchiveError, ArchiveSummary, ArchiveWriter, MappedArchive,
     MappedTensor, VerifyReport,
 };
+pub use bands::OutlierBands;
 pub use bf16::Bf16;
 pub use blocking::{block_geometry, cache_info, with_block, BlockGeometry, CacheInfo, ENV_BLOCK};
 pub use chunk::{PackedTensor, PackingLayout};

@@ -20,12 +20,14 @@
 //! the shape autovectorizers map onto packed integer FMA lanes.
 
 use crate::aligned::AlignedVec;
+use crate::bands::OutlierBands;
 use crate::bf16::Bf16;
 use crate::decode::{BiasDecoder, DecodedOperand};
 use crate::encode::EncodedTensor;
 use crate::error::FormatError;
 use crate::plane::{Plane, SvalPlane};
 use std::ops::Range;
+use std::sync::OnceLock;
 
 /// Meta-plane bit: operand sign.
 pub const META_SIGN: u8 = 1 << 0;
@@ -297,16 +299,28 @@ impl PackedOperands {
     }
 
     /// The outlier exponent of element `i` (0 for untagged elements —
-    /// matching [`DecodedOperand::exp`]'s convention).
+    /// matching [`DecodedOperand::exp`]'s convention). A tag with no
+    /// side-table entry — a corrupted meta byte in an unverified archive
+    /// view — reads exponent 0 too, the convention
+    /// [`PackedOperands::parity_ok`] uses, so no plane content can make the
+    /// lookup panic.
+    #[inline]
     pub fn exp_at(&self, i: usize) -> u8 {
         if self.metas()[i] & META_TAG == 0 {
             return 0;
         }
-        let k = self
-            .outlier_positions()
-            .binary_search(&(i as u32))
-            .expect("tagged element has a side-table entry");
-        self.outlier_exps()[k]
+        self.side_table_exp(i)
+    }
+
+    /// Element `i`'s side-table exponent, 0 when it has no entry. Kept out
+    /// of line so [`PackedOperands::exp_at`] stays small enough to inline
+    /// into per-element loops.
+    #[inline(never)]
+    fn side_table_exp(&self, i: usize) -> u8 {
+        match self.outlier_positions().binary_search(&(i as u32)) {
+            Ok(k) => self.outlier_exps()[k],
+            Err(_) => 0,
+        }
     }
 
     /// Whether any element of `range` is a tagged outlier — O(log outliers)
@@ -329,10 +343,7 @@ impl PackedOperands {
     /// the (possibly corrupted) tag to route the lookup.
     pub fn parity_ok(&self, i: usize) -> bool {
         let meta = self.metas()[i];
-        let exp = match self.outlier_positions().binary_search(&(i as u32)) {
-            Ok(k) => self.outlier_exps()[k],
-            Err(_) => 0,
-        };
+        let exp = self.side_table_exp(i);
         let want = parity_bit(meta & META_SH != 0, meta & META_TAG != 0, exp);
         (meta & META_PAR != 0) == want
     }
@@ -503,6 +514,7 @@ impl PackedOperands {
             kp,
             n,
             data: SvalPlane::from(data),
+            bands: OnceLock::new(),
         }
     }
 }
@@ -516,8 +528,11 @@ impl PackedOperands {
 /// nothing, so the microkernel never needs an edge variant.
 ///
 /// Built once per weight tensor via [`PackedOperands::pack_panels`] and
-/// memoised on the arith layer's `PreparedTensor`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// memoised on the arith layer's `PreparedTensor`. The weight's column
+/// outlier band tables ([`OutlierBands::columns`]) are memoised here too,
+/// built on first use by [`PackedPanels::column_bands`]; equality ignores
+/// that memo.
+#[derive(Debug, Clone)]
 pub struct PackedPanels {
     k: usize,
     /// Stored depth: `k` rounded up to [`PANEL_K_PAD`], zero-filled.
@@ -527,7 +542,18 @@ pub struct PackedPanels {
     /// aligned per panel — owned, or a zero-copy view into a mapped
     /// archive whose panel region was written pre-packed.
     data: SvalPlane,
+    /// The column band tables, derived from these panels and the weight's
+    /// outlier side tables on first use; dropped by every panel mutation.
+    bands: OnceLock<OutlierBands>,
 }
+
+impl PartialEq for PackedPanels {
+    fn eq(&self, other: &Self) -> bool {
+        self.k == other.k && self.kp == other.kp && self.n == other.n && self.data == other.data
+    }
+}
+
+impl Eq for PackedPanels {}
 
 impl PackedPanels {
     /// Wraps an externally supplied panel-major sval plane (the zero-copy
@@ -547,7 +573,13 @@ impl PackedPanels {
                 reason: "panel plane length disagrees with weight shape",
             });
         }
-        Ok(PackedPanels { k, kp, n, data })
+        Ok(PackedPanels {
+            k,
+            kp,
+            n,
+            data,
+            bands: OnceLock::new(),
+        })
     }
 
     /// Depth (reduction dimension) the panels were packed for.
@@ -592,9 +624,28 @@ impl PackedPanels {
     /// Flips one bit of one panel word — the sanctioned single-upset
     /// injection primitive for the repacked weight store (an involution;
     /// copy-on-writes first when the store is mapped, so the file is
-    /// never struck).
+    /// never struck). Drops the memoised band tables, whose coefficients
+    /// were derived from the old word.
     pub fn flip_bit(&mut self, index: usize, bit: u32) {
+        self.bands = OnceLock::new();
         self.data.make_mut()[index] ^= 1i16 << bit;
+    }
+
+    /// The weight's column outlier band tables, built from these panels
+    /// and `packed`'s outlier side tables on the first call and memoised —
+    /// at most one build per panel set, across calls and threads.
+    ///
+    /// `packed` must be the operand set these panels were packed from
+    /// (the same contract as the GEMM's `panels` argument): the memo is
+    /// keyed on the panels alone.
+    pub fn column_bands(&self, packed: &PackedOperands) -> &OutlierBands {
+        self.bands
+            .get_or_init(|| OutlierBands::columns(packed, self))
+    }
+
+    /// The memoised column band tables, if a GEMM has built them.
+    pub fn memoised_bands(&self) -> Option<&OutlierBands> {
+        self.bands.get()
     }
 }
 
