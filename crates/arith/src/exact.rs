@@ -360,24 +360,8 @@ fn exact_gemm_impl<const ABFT: bool>(
         });
         let lo = base_a + base_b;
         let zero_row = vec![0i32; k];
-        // Cache-blocking geometry over the 4-byte i32 band planes,
-        // resolved before the fan-out (like the kernel tier below) so the
-        // `with_block`/`OWLP_BLOCK` overrides apply at every thread count.
-        // No Kc spill cap here: the band budget already proves the
-        // full-depth i64 lane sum exact, and every stripe-partial sum is
-        // bounded by the same budget.
-        let geom = owlp_format::block_geometry(4, MR, NR).for_shape(m, k, n, MR, NR);
-        let (mc, nc, kc) = (geom.mc, geom.nc, geom.kc);
-        // MR-aligned grain; a grain wider than one Mc block rounds to
-        // whole blocks so chunk boundaries never split a block.
-        let grain = {
-            let g = row_grain(k, n).next_multiple_of(MR);
-            if g > mc {
-                g.next_multiple_of(mc)
-            } else {
-                g
-            }
-        };
+        // MR-aligned grain so no MR×NR tile straddles a chunk boundary.
+        let grain = row_grain(k, n).next_multiple_of(MR);
         // Resolved before the fan-out so a `with_tier` override on this
         // thread applies inside every pool worker.
         let tier = microkernel::selected_tier();
@@ -386,8 +370,7 @@ fn exact_gemm_impl<const ABFT: bool>(
             let mut sums = ABFT.then(|| (vec![0i128; rows.len()], vec![0i128; n]));
             // Finalizes one MR×NR lane tile: the sanctioned strike, the
             // checksum partials, and the per-element out-of-band
-            // corrections — one copy shared by the single-stripe and
-            // multi-stripe traversals below.
+            // corrections.
             let mut finalize_tile = |lanes: &[[i64; NR]; MR], ib: usize, jb: usize| {
                 let mr = MR.min(rows.end - ib);
                 let nr = NR.min(n - jb);
@@ -467,81 +450,23 @@ fn exact_gemm_impl<const ABFT: bool>(
                     }
                 }
             };
-            // BLIS-style blocked traversal: pure re-association of the same
-            // exact integer sums, so every (Mc, Kc, Nc) choice — including
-            // the unblocked geometry — is bit-identical at every tier.
-            let single_stripe = k <= kc;
-            // Per-(Mc,Nc)-block lane plane for the multi-stripe path,
-            // allocated lazily and reused across blocks.
-            let mut lane_tiles: Vec<[[i64; NR]; MR]> = Vec::new();
-            let mut ic = rows.start;
-            while ic < rows.end {
-                let ic_end = (ic + mc).min(rows.end);
-                let mut jc = 0usize;
-                while jc < n {
-                    let hi_col = (jc + nc).min(n);
-                    if single_stripe {
-                        // One Kc stripe covers the whole depth: lanes go
-                        // straight from registers into the finalize pass.
-                        for jb in (jc..hi_col).step_by(NR) {
-                            let panel = &bpanels[(jb / NR) * k * NR..(jb / NR + 1) * k * NR];
-                            for ib in (ic..ic_end).step_by(MR) {
-                                let mr = MR.min(ic_end - ib);
-                                let a_rows: [&[i32]; MR] = std::array::from_fn(|r| {
-                                    if r < mr {
-                                        &aplane[(ib + r) * k..(ib + r + 1) * k]
-                                    } else {
-                                        zero_row.as_slice()
-                                    }
-                                });
-                                let lanes = microkernel::tile_dot_i32_with(tier, a_rows, panel);
-                                finalize_tile(&lanes, ib, jb);
-                            }
+            // Weight-stationary traversal: each NR panel sweeps this
+            // chunk's rows in MR tiles over the full depth, which the band
+            // budget keeps exact in the i64 lanes.
+            for jb in (0..n).step_by(NR) {
+                let panel = &bpanels[(jb / NR) * k * NR..(jb / NR + 1) * k * NR];
+                for ib in rows.clone().step_by(MR) {
+                    let mr = MR.min(rows.end - ib);
+                    let a_rows: [&[i32]; MR] = std::array::from_fn(|r| {
+                        if r < mr {
+                            &aplane[(ib + r) * k..(ib + r + 1) * k]
+                        } else {
+                            zero_row.as_slice()
                         }
-                    } else {
-                        // Kc stripes accumulate into a tile-major i64 lane
-                        // plane covering this (Mc, Nc) block; the band
-                        // budget keeps every partial and the full-depth sum
-                        // exact in i64, so no spill plane is ever needed.
-                        let groups = (hi_col - jc).div_ceil(NR);
-                        let tile_rows = (ic_end - ic).div_ceil(MR);
-                        lane_tiles.clear();
-                        lane_tiles.resize(groups * tile_rows, [[0i64; NR]; MR]);
-                        let mut pc = 0usize;
-                        while pc < k {
-                            let kcl = kc.min(k - pc);
-                            for (g, jb) in (jc..hi_col).step_by(NR).enumerate() {
-                                let pbase = (jb / NR) * k * NR;
-                                let stripe = &bpanels[pbase + pc * NR..pbase + (pc + kcl) * NR];
-                                for (tr, ib) in (ic..ic_end).step_by(MR).enumerate() {
-                                    let mr = MR.min(ic_end - ib);
-                                    let a_rows: [&[i32]; MR] = std::array::from_fn(|r| {
-                                        if r < mr {
-                                            let row = (ib + r) * k;
-                                            &aplane[row + pc..row + pc + kcl]
-                                        } else {
-                                            &zero_row[..kcl]
-                                        }
-                                    });
-                                    microkernel::tile_mul_i32_with(
-                                        tier,
-                                        a_rows,
-                                        stripe,
-                                        &mut lane_tiles[g * tile_rows + tr],
-                                    );
-                                }
-                            }
-                            pc += kcl;
-                        }
-                        for (g, jb) in (jc..hi_col).step_by(NR).enumerate() {
-                            for (tr, ib) in (ic..ic_end).step_by(MR).enumerate() {
-                                finalize_tile(&lane_tiles[g * tile_rows + tr], ib, jb);
-                            }
-                        }
-                    }
-                    jc = hi_col;
+                    });
+                    let lanes = microkernel::tile_dot_i32_with(tier, a_rows, panel);
+                    finalize_tile(&lanes, ib, jb);
                 }
-                ic = ic_end;
             }
             (block, sums)
         })
@@ -752,52 +677,22 @@ mod tests {
     fn wide_span_tagged_path_matches_per_product_oracle() {
         // Outliers stretch the product span far past any single band (and
         // past the i128 window), so the banded path must tag out-of-band
-        // elements and patch each output with exact corrections.
-        let (m, k, n) = (5, 29, 9);
-        let a = mixed_tensor(m * k, 13, 17);
-        let b = mixed_tensor(k * n, 7, 23);
-        let span_a = frame_span(&a).expect("nonzero");
-        let span_b = frame_span(&b).expect("nonzero");
-        assert!(
-            product_window(span_a, span_b, k).is_none(),
-            "test tensors must be span-hostile"
-        );
-        let banded = exact_gemm(&a, &b, m, k, n);
-        let oracle = oracle_gemm(&a, &b, m, k, n);
-        for (x, y) in banded.iter().zip(&oracle) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-    }
-
-    #[test]
-    fn forced_blocks_stay_bit_identical_with_tags_and_abft() {
-        use owlp_format::{with_block, BlockGeometry};
-        // Span-hostile tensors so the tag-correction path runs too.
-        let (m, k, n) = (13, 29, 9);
-        let a = mixed_tensor(m * k, 13, 17);
-        let b = mixed_tensor(k * n, 7, 23);
-        let strike = Some(LaneStrike {
-            i: 4,
-            j: 2,
-            bit: 21,
-        });
-        let baseline = with_block(BlockGeometry::UNBLOCKED, || {
-            exact_gemm_abft(&a, &b, m, k, n, strike)
-        });
-        // Ragged tails, block == extent, block > extent, and the
-        // multi-stripe lane-plane path (kc < k) all regroup the same exact
-        // integer sums — outputs and checksums must match bit for bit.
-        for geom in ["4,8,4", "8,29,12", "16,64,16", "4,16,8", "12,12,4"] {
-            let g = BlockGeometry::parse(geom).unwrap();
-            let (out, check) = with_block(g, || exact_gemm_abft(&a, &b, m, k, n, strike));
-            for (x, y) in out.iter().zip(&baseline.0) {
-                assert_eq!(x.to_bits(), y.to_bits(), "geometry {geom}");
-            }
-            assert_eq!(
-                check.as_ref().map(|c| &c.observed),
-                baseline.1.as_ref().map(|c| &c.observed),
-                "geometry {geom}"
+        // elements and patch each output with exact corrections. The
+        // second shape is deeper than the i16 kernels' spill period.
+        for (m, k, n) in [(5, 29, 9), (3, microkernel::K_SPILL + 37, 5)] {
+            let a = mixed_tensor(m * k, 13, 17);
+            let b = mixed_tensor(k * n, 7, 23);
+            let span_a = frame_span(&a).expect("nonzero");
+            let span_b = frame_span(&b).expect("nonzero");
+            assert!(
+                product_window(span_a, span_b, k).is_none(),
+                "test tensors must be span-hostile"
             );
+            let banded = exact_gemm(&a, &b, m, k, n);
+            let oracle = oracle_gemm(&a, &b, m, k, n);
+            for (x, y) in banded.iter().zip(&oracle) {
+                assert_eq!(x.to_bits(), y.to_bits(), "{m}x{k}x{n}");
+            }
         }
     }
 

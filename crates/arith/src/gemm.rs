@@ -302,27 +302,7 @@ pub fn owlp_gemm_with(
     let enc_b = encode_tensor(b, None)?;
     let packed_a = enc_a.decode_packed();
     let packed_b = enc_b.decode_packed();
-    owlp_gemm_decoded(&packed_a, &packed_b, m, k, n, config, align)
-}
-
-/// The datapath half of [`owlp_gemm`], reusable when the tensors are
-/// already encoded/decoded (as the accelerator model does per layer).
-/// Packs microkernel panels for `b` on the fly; see [`owlp_gemm_packed`]
-/// to supply memoised ones.
-///
-/// # Errors
-///
-/// As [`owlp_gemm`].
-pub fn owlp_gemm_decoded(
-    packed_a: &PackedOperands,
-    packed_b: &PackedOperands,
-    m: usize,
-    k: usize,
-    n: usize,
-    config: PeConfig,
-    align: AlignUnit,
-) -> Result<OwlpGemmOutput, ArithError> {
-    owlp_gemm_packed(packed_a, packed_b, None, m, k, n, config, align)
+    owlp_gemm_packed(&packed_a, &packed_b, None, m, k, n, config, align)
 }
 
 /// The full datapath drive loop, with optionally memoised weight panels.
@@ -468,30 +448,13 @@ fn owlp_gemm_packed_impl<const ABFT: bool>(
     // All-zero activation row standing in for the `m % MR` edge rows: zero
     // svals contribute nothing, so the full-size kernel handles edges.
     let zero_row = vec![0i16; k];
-    // Cache-blocking geometry (BLIS-style Mc/Kc/Nc), resolved once before
-    // the fan-out so the thread-local `with_block` override and the
-    // `OWLP_BLOCK` environment knob apply at every thread count, exactly
-    // like the kernel tier below. Kc is additionally capped at the lane
-    // spill period so one Kc stripe always fits a single i64 lane segment.
-    let geom = owlp_format::block_geometry(2, MR, NR).for_shape(m, k, n, MR, NR);
-    let (mc, nc) = (geom.mc, geom.nc);
-    let kc = geom.kc.min(microkernel::K_SPILL);
     // Tile-parallel over output columns: each chunk runs the register-tiled
     // microkernel (or the PE column) over its panel range. The grain is
-    // NR-aligned so no MR×NR tile straddles a chunk boundary, and a grain
-    // wider than one Nc block rounds to whole blocks so chunk boundaries
-    // never split a block at any thread count. Results assemble in column
-    // order and the wavefront statistics reduce over the ordered tile list
-    // (max and sum — order-free anyway), so the output is bit-identical to
-    // the serial sweep at every thread count.
-    let grain = {
-        let g = crate::exact::row_grain(k, m).next_multiple_of(NR);
-        if g > nc {
-            g.next_multiple_of(nc)
-        } else {
-            g
-        }
-    };
+    // NR-aligned so no MR×NR tile straddles a chunk boundary. Results
+    // assemble in column order and the wavefront statistics reduce over the
+    // ordered tile list (max and sum — order-free anyway), so the output is
+    // bit-identical to the serial sweep at every thread count.
+    let grain = crate::exact::row_grain(k, m).next_multiple_of(NR);
     let col_ops = 2 * (k as u64).saturating_mul(m as u64).max(1);
     // The widened 8×NR tile only pays on AVX2, where it amortizes one
     // panel load + interleave over eight rows; on every other tier it
@@ -517,10 +480,7 @@ fn owlp_gemm_packed_impl<const ABFT: bool>(
             let mut scratch = TileScratch::take();
             // Finalizes one MR×NR window tile into `values`: the sanctioned
             // strike, the ABFT checksum partials, and the band-lane outlier
-            // correction. Shared by the single-stripe path (windows straight
-            // out of `tile_dot`) and the multi-stripe path (windows rebuilt
-            // from the persistent lane plane), so the correction logic
-            // exists in exactly one copy.
+            // correction.
             let mut finalize_tile =
                 |wins: &[[WindowAcc; NR]; MR], ib: usize, jb: usize, panel: &[i16]| {
                     let mr = MR.min(m - ib);
@@ -564,156 +524,41 @@ fn owlp_gemm_packed_impl<const ABFT: bool>(
                         },
                     );
                 };
-            // BLIS-style blocked traversal of this chunk's column range.
-            // Blocking is pure re-association of the same exact integer
-            // sums, so every (Mc, Kc, Nc) choice — including the unblocked
-            // geometry — produces bit-identical output at every tier.
-            let single_stripe = k <= kc;
-            // Persistent per-Nc-block accumulator planes for the
-            // multi-stripe path, allocated lazily and reused across blocks.
-            let row_tiles = m.div_ceil(MR);
-            let mut lane_tiles: Vec<[[i64; NR]; MR]> = Vec::new();
-            let mut spill_tiles: Vec<[[WindowAcc; NR]; MR]> = Vec::new();
-            let mut jc = cols.start;
-            while jc < cols.end {
-                let hi_col = (jc + nc).min(cols.end);
-                if single_stripe {
-                    // One Kc stripe covers the whole depth: windows go
-                    // straight from registers into the finalize pass — the
-                    // pre-blocking structure with Mc/Nc loop shaping on top.
-                    for ic in (0..m).step_by(mc) {
-                        let ic_end = (ic + mc).min(m);
-                        for jb in (jc..hi_col).step_by(NR) {
-                            let panel = panels.panel(jb / NR);
-                            let mut ib = ic;
-                            while ib < ic_end {
-                                if use_x8 && ib + MR8 <= ic_end {
-                                    let a8: [&[i16]; MR8] = std::array::from_fn(|r| {
-                                        &a_sval[(ib + r) * k..(ib + r + 1) * k]
-                                    });
-                                    let [w0, w1] =
-                                        microkernel::tile_dot_i16_x8_with(tier, a8, panel, win0);
-                                    finalize_tile(&w0, ib, jb, panel);
-                                    finalize_tile(&w1, ib + MR, jb, panel);
-                                    ib += MR8;
-                                } else {
-                                    let mr = MR.min(ic_end - ib);
-                                    let a_rows: [&[i16]; MR] = std::array::from_fn(|r| {
-                                        if r < mr {
-                                            &a_sval[(ib + r) * k..(ib + r + 1) * k]
-                                        } else {
-                                            zero_row.as_slice()
-                                        }
-                                    });
-                                    // The microkernel covers the outlier-free
-                                    // bulk: every product is an integer
-                                    // < 2^30 on the shared frame (outlier
-                                    // svals included as their as-if-normal
-                                    // value, corrected in the finalize), so
-                                    // regrouping into register tiles cannot
-                                    // change the exact per-element sum.
-                                    let wins =
-                                        microkernel::tile_dot_i16_with(tier, a_rows, panel, win0);
-                                    finalize_tile(&wins, ib, jb, panel);
-                                    ib += MR;
-                                }
+            // Weight-stationary traversal: each NR panel of the chunk
+            // sweeps every row of A, eight rows at a time on AVX2 and MR
+            // otherwise. The tile kernels spill their i64 lanes into the
+            // windows every K_SPILL depths, so any k runs in one pass.
+            for jb in cols.clone().step_by(NR) {
+                let panel = panels.panel(jb / NR);
+                let mut ib = 0;
+                while ib < m {
+                    if use_x8 && ib + MR8 <= m {
+                        let a8: [&[i16]; MR8] =
+                            std::array::from_fn(|r| &a_sval[(ib + r) * k..(ib + r + 1) * k]);
+                        let [w0, w1] = microkernel::tile_dot_i16_x8_with(tier, a8, panel, win0);
+                        finalize_tile(&w0, ib, jb, panel);
+                        finalize_tile(&w1, ib + MR, jb, panel);
+                        ib += MR8;
+                    } else {
+                        let mr = MR.min(m - ib);
+                        let a_rows: [&[i16]; MR] = std::array::from_fn(|r| {
+                            if r < mr {
+                                &a_sval[(ib + r) * k..(ib + r + 1) * k]
+                            } else {
+                                zero_row.as_slice()
                             }
-                        }
-                    }
-                } else {
-                    // Multi-stripe: Kc stripes accumulate into a persistent
-                    // tile-major i64 lane plane covering this Nc block;
-                    // depths beyond the spill period flush into a lazy
-                    // WindowAcc spill plane first. Each flush boundary is
-                    // just another association order of the same exact sum.
-                    let groups = (hi_col - jc).div_ceil(NR);
-                    lane_tiles.clear();
-                    lane_tiles.resize(groups * row_tiles, [[0i64; NR]; MR]);
-                    let spill = k > microkernel::K_SPILL;
-                    if spill {
-                        spill_tiles.clear();
-                        spill_tiles.resize(groups * row_tiles, [[win0; NR]; MR]);
-                    }
-                    let mut depth = 0usize;
-                    let mut pc = 0usize;
-                    while pc < k {
-                        let kcl = kc.min(k - pc);
-                        if depth + kcl > microkernel::K_SPILL {
-                            debug_assert!(spill, "flush only occurs when k > K_SPILL");
-                            for (lt, st) in lane_tiles.iter_mut().zip(spill_tiles.iter_mut()) {
-                                for (lr, sr) in lt.iter_mut().zip(st.iter_mut()) {
-                                    for (lane, w) in lr.iter_mut().zip(sr.iter_mut()) {
-                                        w.add_aligned(std::mem::take(lane));
-                                    }
-                                }
-                            }
-                            depth = 0;
-                        }
-                        for ic in (0..m).step_by(mc) {
-                            let ic_end = (ic + mc).min(m);
-                            for (g, jb) in (jc..hi_col).step_by(NR).enumerate() {
-                                let panel = panels.panel(jb / NR);
-                                let stripe = &panel[pc * NR..(pc + kcl) * NR];
-                                let mut ib = ic;
-                                while ib < ic_end {
-                                    let t = g * row_tiles + ib / MR;
-                                    if use_x8 && ib + MR8 <= ic_end {
-                                        let a8: [&[i16]; MR8] = std::array::from_fn(|r| {
-                                            let row = (ib + r) * k;
-                                            &a_sval[row + pc..row + pc + kcl]
-                                        });
-                                        let (lo_t, hi_t) = lane_tiles.split_at_mut(t + 1);
-                                        microkernel::tile_mul_i16_x8_with(
-                                            tier,
-                                            a8,
-                                            stripe,
-                                            &mut lo_t[t],
-                                            &mut hi_t[0],
-                                        );
-                                        ib += MR8;
-                                    } else {
-                                        let mr = MR.min(ic_end - ib);
-                                        let a_rows: [&[i16]; MR] = std::array::from_fn(|r| {
-                                            if r < mr {
-                                                let row = (ib + r) * k;
-                                                &a_sval[row + pc..row + pc + kcl]
-                                            } else {
-                                                &zero_row[..kcl]
-                                            }
-                                        });
-                                        microkernel::tile_mul_i16_with(
-                                            tier,
-                                            a_rows,
-                                            stripe,
-                                            &mut lane_tiles[t],
-                                        );
-                                        ib += MR;
-                                    }
-                                }
-                            }
-                        }
-                        depth += kcl;
-                        pc += kcl;
-                    }
-                    // Finalize pass: rebuild each tile's windows from the
-                    // lane plane (plus the spill plane when one exists) and
-                    // run the shared strike/checksum/correction logic.
-                    for (g, jb) in (jc..hi_col).step_by(NR).enumerate() {
-                        let panel = panels.panel(jb / NR);
-                        for ib in (0..m).step_by(MR) {
-                            let t = g * row_tiles + ib / MR;
-                            let wins: [[WindowAcc; NR]; MR] = std::array::from_fn(|r| {
-                                std::array::from_fn(|c| {
-                                    let mut w = if spill { spill_tiles[t][r][c] } else { win0 };
-                                    w.add_aligned(lane_tiles[t][r][c]);
-                                    w
-                                })
-                            });
-                            finalize_tile(&wins, ib, jb, panel);
-                        }
+                        });
+                        // The microkernel covers the outlier-free bulk:
+                        // every product is an integer < 2^30 on the shared
+                        // frame (outlier svals included as their as-if-normal
+                        // value, corrected in the finalize), so regrouping
+                        // into register tiles cannot change the exact
+                        // per-element sum.
+                        let wins = microkernel::tile_dot_i16_with(tier, a_rows, panel, win0);
+                        finalize_tile(&wins, ib, jb, panel);
+                        ib += MR;
                     }
                 }
-                jc = hi_col;
             }
             scratch.keep();
         } else {
@@ -846,42 +691,6 @@ mod tests {
         }
         assert!(r.act_outliers > 0);
         assert!(r.total_outlier_products > 0);
-    }
-
-    #[test]
-    fn forced_blocks_stay_bit_identical_with_outliers_and_abft() {
-        use owlp_format::{with_block, BlockGeometry};
-        let (m, k, n) = (13, 40, 11);
-        let a = synth(m * k, 5, 9);
-        let b = synth(k * n, 6, 13);
-        let ea = encode_tensor(&a, None).unwrap();
-        let eb = encode_tensor(&b, None).unwrap();
-        let (pa, pb) = (ea.decode_packed(), eb.decode_packed());
-        let strike = Some(LaneStrike { i: 3, j: 7, bit: 9 });
-        let baseline = with_block(BlockGeometry::UNBLOCKED, || {
-            owlp_gemm_packed_abft(&pa, &pb, None, m, k, n, strike).unwrap()
-        });
-        // Ragged tails, block == extent, block > extent, and the
-        // multi-stripe lane-plane path (kc < k) all regroup the same exact
-        // integer sums — outputs and ABFT checksums must match bit for bit.
-        for geom in ["4,8,4", "8,40,12", "16,64,16", "4,16,8", "12,24,4"] {
-            let g = BlockGeometry::parse(geom).unwrap();
-            let (out, sums) = with_block(g, || {
-                owlp_gemm_packed_abft(&pa, &pb, None, m, k, n, strike).unwrap()
-            });
-            for (x, y) in out.output.iter().zip(&baseline.0.output) {
-                assert_eq!(x.to_bits(), y.to_bits(), "geometry {geom}");
-            }
-            assert_eq!(sums, baseline.1, "geometry {geom}");
-            assert_eq!(
-                out.total_outlier_products,
-                baseline.0.total_outlier_products
-            );
-            assert_eq!(
-                out.max_wavefront_outliers,
-                baseline.0.max_wavefront_outliers
-            );
-        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Register-tiled GEMM microkernels with explicit SIMD tiers and
 //! runtime dispatch.
 //!
-//! The scalar hot loops ([`crate::gemm::owlp_gemm_decoded`] and the
+//! The scalar hot loops ([`crate::gemm::owlp_gemm_packed`] and the
 //! windowed [`crate::exact::exact_gemm`] tiles) historically did one
 //! `u16 as i64 × u16 as i64` FMA per product, plus a per-product branch
 //! for the sign and the `{0,4,8}` post-multiply shift. The paper's whole
@@ -87,23 +87,15 @@ pub const NR: usize = owlp_format::packed::PANEL_NR;
 pub const K_SPILL: usize = 1 << 14;
 
 /// Multiplies one K-segment of an MR×NR tile into the `i64` lane array:
-/// `lanes[r][c] += Σ_kk a_rows[r][kk] · panel[kk·NR + c]`, on the
-/// process-selected tier.
+/// `lanes[r][c] += Σ_kk a_rows[r][kk] · panel[kk·NR + c]`, on `tier`
+/// (clamped).
 ///
 /// `a_rows` are `seg`-long sval slices (pad missing edge rows with a zero
 /// slice); `panel` is a K-major panel segment of at least `seg·NR`
 /// entries (extra zero-padded depths are ignored). The caller must spill
 /// at least every [`K_SPILL`] terms.
 #[inline]
-pub fn tile_mul_i16(a_rows: [&[i16]; MR], panel: &[i16], lanes: &mut [[i64; NR]; MR]) {
-    tile_mul_i16_with(selected_tier(), a_rows, panel, lanes);
-}
-
-/// [`tile_mul_i16`] on an explicit (clamped) tier — the form the drive
-/// loops use so a tier resolved before a parallel fan-out applies on
-/// every worker thread.
-#[inline]
-pub fn tile_mul_i16_with(
+fn tile_mul_i16_with(
     tier: KernelTier,
     a_rows: [&[i16]; MR],
     panel: &[i16],
@@ -133,21 +125,10 @@ pub fn tile_mul_i16_with(
 pub const MR8: usize = 2 * MR;
 
 /// Multiplies one K-segment of an 8×NR tile into two stacked `i64` lane
-/// tiles (`lo` = rows `0..MR`, `hi` = rows `MR..MR8`), on the
-/// process-selected tier. Contract as [`tile_mul_i16`].
+/// tiles (`lo` = rows `0..MR`, `hi` = rows `MR..MR8`), on `tier`
+/// (clamped). Contract as [`tile_mul_i16_with`].
 #[inline]
-pub fn tile_mul_i16_x8(
-    a_rows: [&[i16]; MR8],
-    panel: &[i16],
-    lo: &mut [[i64; NR]; MR],
-    hi: &mut [[i64; NR]; MR],
-) {
-    tile_mul_i16_x8_with(selected_tier(), a_rows, panel, lo, hi);
-}
-
-/// [`tile_mul_i16_x8`] on an explicit (clamped) tier.
-#[inline]
-pub fn tile_mul_i16_x8_with(
+fn tile_mul_i16_x8_with(
     tier: KernelTier,
     a_rows: [&[i16]; MR8],
     panel: &[i16],
@@ -284,20 +265,14 @@ pub fn dot_sval_with(tier: KernelTier, a: &[i16], b: &[i16], win0: WindowAcc) ->
     win
 }
 
-/// The `i32` twin of [`tile_mul_i16`] for the exact-GEMM band planes:
-/// products are taken in `i64` (`|a| < 2^31` each side). The caller's
-/// band-width budget guarantees the full-depth lane sum fits `i64`, so
-/// no spill period applies here.
+/// The `i32` twin of [`tile_mul_i16_with`] for the exact-GEMM band
+/// planes: products are taken in `i64` (`|a| < 2^31` each side). The
+/// caller's band-width budget guarantees the full-depth lane sum fits
+/// `i64`, so no spill period applies here. The Sse2 tier has no vector
+/// path (no SSE2 signed widening 32-bit multiply) and runs the scalar
+/// oracle.
 #[inline]
-pub fn tile_mul_i32(a_rows: [&[i32]; MR], panel: &[i32], lanes: &mut [[i64; NR]; MR]) {
-    tile_mul_i32_with(selected_tier(), a_rows, panel, lanes);
-}
-
-/// [`tile_mul_i32`] on an explicit (clamped) tier. The Sse2 tier has no
-/// vector path here (no SSE2 signed widening 32-bit multiply) and runs
-/// the scalar oracle.
-#[inline]
-pub fn tile_mul_i32_with(
+fn tile_mul_i32_with(
     tier: KernelTier,
     a_rows: [&[i32]; MR],
     panel: &[i32],

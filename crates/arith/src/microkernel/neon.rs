@@ -14,7 +14,7 @@
 use super::{scalar, MR, NR};
 use std::arch::aarch64::*;
 
-/// NEON tier of [`super::tile_mul_i16`]: two K-depths × `NR` columns per
+/// NEON tier of `tile_mul_i16_with`: two K-depths × `NR` columns per
 /// step, one `vmull_s16` + `vmlal_s16` per row, widened via `vaddw_s32`.
 #[inline]
 pub fn tile_mul_i16_neon(a_rows: [&[i16]; MR], panel: &[i16], lanes: &mut [[i64; NR]; MR]) {
@@ -82,7 +82,7 @@ pub fn dot_seg_neon(a: &[i16], b: &[i16]) -> i64 {
     sum
 }
 
-/// NEON tier of [`super::tile_mul_i32`]: per depth, `vmlal_s32` widening
+/// NEON tier of `tile_mul_i32_with`: per depth, `vmlal_s32` widening
 /// MACs of the broadcast A value against each half of the panel quad.
 #[inline]
 pub fn tile_mul_i32_neon(a_rows: [&[i32]; MR], panel: &[i32], lanes: &mut [[i64; NR]; MR]) {

@@ -13,7 +13,7 @@
 
 use super::{MR, NR};
 
-/// Scalar tier of [`super::tile_mul_i16`]: one `i16×i16→i32` FMA per
+/// Scalar tier of `tile_mul_i16_with`: one `i16×i16→i32` FMA per
 /// product, widened to the `i64` lane once per term.
 #[inline]
 pub fn tile_mul_i16(a_rows: [&[i16]; MR], panel: &[i16], lanes: &mut [[i64; NR]; MR]) {
@@ -41,7 +41,7 @@ pub fn dot_seg(a: &[i16], b: &[i16]) -> i64 {
     sum
 }
 
-/// Scalar tier of [`super::tile_mul_i32`]: band-plane products taken
+/// Scalar tier of `tile_mul_i32_with`: band-plane products taken
 /// directly in `i64` (`|a| < 2^31` each side).
 #[inline]
 pub fn tile_mul_i32(a_rows: [&[i32]; MR], panel: &[i32], lanes: &mut [[i64; NR]; MR]) {

@@ -39,7 +39,7 @@ fn scalar_tail(a_rows: [&[i16]; MR], panel: &[i16], lanes: &mut [[i64; NR]; MR],
     }
 }
 
-/// SSE2 tier of [`super::tile_mul_i16`]: two K-depths × `NR` columns per
+/// SSE2 tier of `tile_mul_i16_with`: two K-depths × `NR` columns per
 /// step. One 128-bit panel load covers depths `kk, kk+1`; the in-register
 /// interleave pairs each column's two depths adjacently for `madd`.
 ///
@@ -80,7 +80,7 @@ pub fn tile_mul_i16_sse2(a_rows: [&[i16]; MR], panel: &[i16], lanes: &mut [[i64;
     scalar_tail(a_rows, panel, lanes, pairs);
 }
 
-/// AVX2 tier of [`super::tile_mul_i16`]: four K-depths × `NR` columns per
+/// AVX2 tier of `tile_mul_i16_with`: four K-depths × `NR` columns per
 /// step. One 256-bit panel load covers depths `kk..kk+4`; each 128-bit
 /// half is interleaved like the SSE2 tier, and the A side broadcasts one
 /// depth pair per half. One `madd` then yields all four column sums for
@@ -123,7 +123,7 @@ pub unsafe fn tile_mul_i16_avx2(a_rows: [&[i16]; MR], panel: &[i16], lanes: &mut
     scalar_tail(a_rows, panel, lanes, quads);
 }
 
-/// AVX2 widened tier of [`super::tile_mul_i16_x8`]: the same four
+/// AVX2 widened tier of `tile_mul_i16_x8_with`: the same four
 /// K-depths × `NR` columns per step as [`tile_mul_i16_avx2`], but the
 /// 256-bit panel load and its in-register interleave are amortized over
 /// *eight* A rows instead of four. The eight 4×i64 accumulators, the
@@ -234,7 +234,7 @@ pub unsafe fn dot_seg_avx2(a: &[i16], b: &[i16]) -> i64 {
     t.iter().sum::<i64>() + scalar::dot_seg(&a[wide..], &b[wide..])
 }
 
-/// AVX2 tier of [`super::tile_mul_i32`]: per depth, the four panel
+/// AVX2 tier of `tile_mul_i32_with`: per depth, the four panel
 /// columns are sign-extended to i64 lanes and multiplied against the
 /// broadcast A value with `_mm256_mul_epi32` (a 32×32→64 signed multiply
 /// of each lane's low dword — exact). There is no SSE2 tier: the SSE2

@@ -1,20 +1,18 @@
-//! Cross-product equivalence of the GEMM drive loops: blocking geometry
-//! × kernel tier × thread count must never change a single output bit.
+//! Cross-product equivalence of the GEMM drive loops: kernel tier ×
+//! thread count must never change a single output bit.
 //!
 //! Both drive loops accumulate in exact integer arithmetic, so any
-//! `(mc, kc, nc)` split — including degenerate ones like `1,1,1`, a
-//! block exactly matching the shape, or a block larger than the shape —
-//! is pure re-association. The oracle is the forced-scalar tier with
-//! blocking disabled on one thread; every other combination must
-//! reproduce it exactly, ABFT sums included.
+//! regrouping of the sums — SIMD lanes, register tiles, parallel chunks —
+//! is pure re-association. The oracle is the forced-scalar tier on one
+//! thread; every other combination must reproduce it exactly, ABFT sums
+//! included.
 
 use owlp_arith::gemm::{owlp_gemm, owlp_gemm_packed};
-use owlp_arith::microkernel;
+use owlp_arith::microkernel::{self, K_SPILL};
 use owlp_arith::{exact_gemm, exact_gemm_abft, AlignUnit, KulischAcc, PeConfig};
 use owlp_format::simd::KernelTier;
 use owlp_format::{
-    encode_tensor, with_block, ArchiveWriter, Bf16, BlockGeometry, MappedArchive, PackedOperands,
-    PackedPanels, PackedPlane,
+    encode_tensor, ArchiveWriter, Bf16, MappedArchive, PackedOperands, PackedPanels, PackedPlane,
 };
 use proptest::prelude::*;
 
@@ -40,48 +38,44 @@ fn tensor(len: usize, mut state: u64) -> Vec<Bf16> {
 }
 
 /// Output bits of both GEMM paths plus the exact path's ABFT row/column
-/// sums under the given tier, geometry, and thread count.
+/// sums under the given tier and thread count.
 fn run_all(
     a: &[Bf16],
     b: &[Bf16],
     (m, k, n): (usize, usize, usize),
     tier: KernelTier,
-    geom: BlockGeometry,
     threads: usize,
 ) -> (Vec<u32>, Vec<u32>, Vec<i128>) {
     microkernel::with_tier(tier, || {
-        with_block(geom, || {
-            owlp_par::with_threads(threads, || {
-                let exact: Vec<u32> = exact_gemm(a, b, m, k, n)
-                    .iter()
-                    .map(|v| v.to_bits())
-                    .collect();
-                let owlp: Vec<u32> = owlp_gemm(a, b, m, k, n)
-                    .expect("finite inputs")
-                    .output
-                    .iter()
-                    .map(|v| v.to_bits())
-                    .collect();
-                let (_, check) = exact_gemm_abft(a, b, m, k, n, None);
-                let abft: Vec<i128> = check
-                    .map(|c| {
-                        c.observed
-                            .rows
-                            .iter()
-                            .chain(c.observed.cols.iter())
-                            .copied()
-                            .collect()
-                    })
-                    .unwrap_or_default();
-                (exact, owlp, abft)
-            })
+        owlp_par::with_threads(threads, || {
+            let exact: Vec<u32> = exact_gemm(a, b, m, k, n)
+                .iter()
+                .map(|v| v.to_bits())
+                .collect();
+            let owlp: Vec<u32> = owlp_gemm(a, b, m, k, n)
+                .expect("finite inputs")
+                .output
+                .iter()
+                .map(|v| v.to_bits())
+                .collect();
+            let (_, check) = exact_gemm_abft(a, b, m, k, n, None);
+            let abft: Vec<i128> = check
+                .map(|c| {
+                    c.observed
+                        .rows
+                        .iter()
+                        .chain(c.observed.cols.iter())
+                        .copied()
+                        .collect()
+                })
+                .unwrap_or_default();
+            (exact, owlp, abft)
         })
     })
 }
 
 proptest! {
-    // Each case fans out over geometries × tiers × thread counts, so a
-    // modest case count still covers thousands of combinations.
+    // Each case fans out over tiers × thread counts.
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     #[test]
@@ -89,48 +83,24 @@ proptest! {
         m in 1usize..22,
         k in 1usize..48,
         n in 1usize..22,
-        mc in 1usize..32,
-        kc in 1usize..64,
-        nc in 1usize..32,
         seed in any::<u64>(),
     ) {
         let a = tensor(m * k, seed);
         let b = tensor(k * n, seed ^ 0x9e37_79b9_7f4a_7c15);
-        let oracle = run_all(
-            &a,
-            &b,
-            (m, k, n),
-            KernelTier::Scalar,
-            BlockGeometry::UNBLOCKED,
-            1,
-        );
-
-        // Remainder-edge geometries: the random split, blocking off, a
-        // block exactly matching the shape, a block strictly larger
-        // than the shape, and the smallest legal block.
-        let geometries = [
-            BlockGeometry { mc, kc, nc },
-            BlockGeometry::UNBLOCKED,
-            BlockGeometry { mc: m, kc: k, nc: n },
-            BlockGeometry { mc: m + 8, kc: k + 8, nc: n + 8 },
-            BlockGeometry { mc: 1, kc: 1, nc: 1 },
-        ];
-        for geom in geometries {
-            for &tier in microkernel::available_tiers() {
-                for threads in [1usize, 4, 8] {
-                    let got = run_all(&a, &b, (m, k, n), tier, geom, threads);
-                    prop_assert_eq!(
-                        &got,
-                        &oracle,
-                        "diverged at {}x{}x{} geom {:?} tier {:?} threads {}",
-                        m,
-                        k,
-                        n,
-                        geom,
-                        tier,
-                        threads
-                    );
-                }
+        let oracle = run_all(&a, &b, (m, k, n), KernelTier::Scalar, 1);
+        for &tier in microkernel::available_tiers() {
+            for threads in [1usize, 4, 8] {
+                let got = run_all(&a, &b, (m, k, n), tier, threads);
+                prop_assert_eq!(
+                    &got,
+                    &oracle,
+                    "diverged at {}x{}x{} tier {:?} threads {}",
+                    m,
+                    k,
+                    n,
+                    tier,
+                    threads
+                );
             }
         }
     }
@@ -240,9 +210,9 @@ fn temp_archive(tag: &str, seed: u64) -> std::path::PathBuf {
 
 /// The band-lane correction of an `m×k×n` GEMM against the plane-level
 /// oracle: per-line tag densities cycling through `dens`, fully tagged
-/// and untagged, struck out-of-range svals, every tier × {1, 4} threads ×
-/// a forced blocking geometry, and memoised (planned per call when the
-/// weight is small), per-call and mapped weight panels.
+/// and untagged, struck out-of-range svals, every tier × {1, 4} threads,
+/// and memoised (planned per call when the weight is small), per-call and
+/// mapped weight panels.
 fn check_band_lanes(m: usize, k: usize, n: usize, dens: u64, seed: u64) {
     // Per-line densities: the sampled one, a fully tagged line (the
     // softmax shape) and an untagged one.
@@ -268,16 +238,11 @@ fn check_band_lanes(m: usize, k: usize, n: usize, dens: u64, seed: u64) {
     strike_tagged(&mut mpb, Some(&mut mpanels), n, seed >> 7);
     assert_eq!(&mpanels, &memo);
 
-    let forced = BlockGeometry {
-        mc: 12,
-        kc: 24,
-        nc: 20,
-    };
     for &tier in microkernel::available_tiers() {
         for threads in [1usize, 4] {
-            for geom in [None, Some(forced)] {
-                let run = |pb: &PackedOperands, panels: Option<&PackedPanels>| {
-                    let go = || {
+            let run = |pb: &PackedOperands, panels: Option<&PackedPanels>| {
+                microkernel::with_tier(tier, || {
+                    owlp_par::with_threads(threads, || {
                         let r = owlp_gemm_packed(
                             &pa,
                             pb,
@@ -291,25 +256,19 @@ fn check_band_lanes(m: usize, k: usize, n: usize, dens: u64, seed: u64) {
                         .unwrap();
                         let bits: Vec<u32> = r.output.iter().map(|v| v.to_bits()).collect();
                         (bits, r.max_wavefront_outliers, r.total_outlier_products)
-                    };
-                    microkernel::with_tier(tier, || {
-                        owlp_par::with_threads(threads, || match geom {
-                            Some(g) => with_block(g, go),
-                            None => go(),
-                        })
                     })
-                };
-                for (label, got) in [
-                    ("memoised", run(&pb, Some(&memo))),
-                    ("per-call", run(&pb, None)),
-                    ("mapped", run(&mpb, Some(&mpanels))),
-                ] {
-                    assert_eq!(
-                        &got, &want,
-                        "{} panels diverged at {}x{}x{} tier {:?} threads {} geom {:?}",
-                        label, m, k, n, tier, threads, geom
-                    );
-                }
+                })
+            };
+            for (label, got) in [
+                ("memoised", run(&pb, Some(&memo))),
+                ("per-call", run(&pb, None)),
+                ("mapped", run(&mpb, Some(&mpanels))),
+            ] {
+                assert_eq!(
+                    &got, &want,
+                    "{} panels diverged at {}x{}x{} tier {:?} threads {}",
+                    label, m, k, n, tier, threads
+                );
             }
         }
     }
@@ -338,7 +297,10 @@ proptest! {
 
 /// [`check_band_lanes`] on fixed shapes that pin both weight-side plans:
 /// decode's per-head attention GEMMs, whose 128-element right operands
-/// are planned per call, and a weight large enough to be memoised.
+/// are planned per call, and a weight large enough to be memoised. The
+/// last shape is deeper than [`K_SPILL`], so its tiles spill their lanes
+/// mid-depth; one density keeps it cheap, and its line cycle still holds
+/// fully tagged and untagged lines.
 #[test]
 fn band_lanes_match_the_plane_oracle_on_small_and_memoised_weights() {
     for (m, k, n) in [(1, 128, 1), (1, 1, 128), (9, 70, 29)] {
@@ -346,4 +308,5 @@ fn band_lanes_match_the_plane_oracle_on_small_and_memoised_weights() {
             check_band_lanes(m, k, n, dens, seed);
         }
     }
+    check_band_lanes(5, K_SPILL + 37, 6, 20, 7);
 }

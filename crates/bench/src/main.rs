@@ -50,94 +50,70 @@ use owlp_bench::{
     serve_faults_exp, serving_exp, table1, table2, table3, table4, table5, SEED,
 };
 
-const EXPERIMENTS: [&str; 18] = [
-    "table1",
-    "table2",
-    "fig1",
-    "fig8",
-    "table3",
-    "table4",
-    "fig9",
-    "fig10",
-    "table5",
-    "fig11",
-    "eq34",
-    "ablations",
-    "roofline",
-    "batch",
-    "serving",
-    "serve",
-    "serve-faults",
-    "dse",
-];
+/// One experiment's result: the JSON value `--json` prints and the text
+/// table printed otherwise.
+type Output = (serde_json::Value, String);
 
-fn run_json(name: &str, smoke: bool) -> Result<String, String> {
-    fn ser<T: serde::Serialize>(name: &str, v: &T) -> Result<String, String> {
-        serde_json::to_string_pretty(&serde_json::json!({ "experiment": name, "result": v }))
-            .map_err(|e| e.to_string())
-    }
-    match name {
-        "table1" => ser(name, &table1::run(SEED)),
-        "table2" => ser(name, &table2::run(SEED)),
-        "fig1" => ser(name, &fig1::run(SEED)),
-        "fig8" => ser(name, &fig8::run(SEED, 2)),
-        "table3" => ser(name, &table3::run(SEED)),
-        "table4" => ser(name, &table4::run(SEED)),
-        "fig9" => ser(name, &fig9::run()),
-        "fig10" => ser(name, &fig10::run(SEED)),
-        "table5" => ser(name, &table5::run()),
-        "fig11" => ser(name, &fig11::run()),
-        "eq34" => ser(name, &eq34::run(SEED)),
-        "ablations" => ser(
-            name,
-            &serde_json::json!({
-                "align_width": ablation::align_width(SEED),
-                "window_width": ablation::window_width(SEED),
-                "path_split": ablation::path_split(),
-                "block_size": ablation::block_size(SEED),
-                "blockfp_sweep": ablation::blockfp_sweep(SEED),
-            }),
-        ),
-        "roofline" => ser(name, &roofline_exp::run_with(smoke)),
-        "batch" => ser(name, &batch_sweep::run()),
-        "serving" => ser(name, &serving_exp::run()),
-        "serve" => ser(name, &serve_exp::run()),
-        "serve-faults" => ser(name, &serve_faults_exp::run()),
-        "dse" => ser(name, &dse_exp::run()),
-        other => Err(format!("unknown experiment '{other}'")),
-    }
+/// Runs an experiment once; the flag is `--smoke`.
+type Experiment = fn(bool) -> Output;
+
+/// Pairs an experiment's result with its rendering.
+fn output<T: serde::Serialize>(result: T, render: fn(&T) -> String) -> Output {
+    let json = serde_json::to_value(&result);
+    (json, render(&result))
 }
 
-fn run_one(name: &str, smoke: bool) -> Result<String, String> {
-    match name {
-        "table1" => Ok(table1::render(&table1::run(SEED))),
-        "table2" => Ok(table2::render(&table2::run(SEED))),
-        "fig1" => Ok(fig1::render(&fig1::run(SEED))),
-        "fig8" => Ok(fig8::render(&fig8::run(SEED, 2))),
-        "table3" => Ok(table3::render(&table3::run(SEED))),
-        "table4" => Ok(table4::render(&table4::run(SEED))),
-        "fig9" => Ok(fig9::render(&fig9::run())),
-        "fig10" => Ok(fig10::render(&fig10::run(SEED))),
-        "table5" => Ok(table5::render(&table5::run())),
-        "fig11" => Ok(fig11::render(&fig11::run())),
-        "eq34" => Ok(eq34::render(&eq34::run(SEED))),
-        "ablations" => Ok(format!(
+/// Every experiment `repro all` runs, in order.
+const EXPERIMENTS: [(&str, Experiment); 18] = [
+    ("table1", |_| output(table1::run(SEED), table1::render)),
+    ("table2", |_| output(table2::run(SEED), table2::render)),
+    ("fig1", |_| output(fig1::run(SEED), fig1::render)),
+    ("fig8", |_| output(fig8::run(SEED, 2), fig8::render)),
+    ("table3", |_| output(table3::run(SEED), table3::render)),
+    ("table4", |_| output(table4::run(SEED), table4::render)),
+    ("fig9", |_| output(fig9::run(), fig9::render)),
+    ("fig10", |_| output(fig10::run(SEED), fig10::render)),
+    ("table5", |_| output(table5::run(), table5::render)),
+    ("fig11", |_| output(fig11::run(), fig11::render)),
+    ("eq34", |_| output(eq34::run(SEED), eq34::render)),
+    ("ablations", |_| {
+        let (align, window, paths, blocks, blockfp) = (
+            ablation::align_width(SEED),
+            ablation::window_width(SEED),
+            ablation::path_split(),
+            ablation::block_size(SEED),
+            ablation::blockfp_sweep(SEED),
+        );
+        let text = format!(
             "{}\n{}\n{}\n{}\n{}",
-            ablation::render_align(&ablation::align_width(SEED)),
-            ablation::render_window(&ablation::window_width(SEED)),
-            ablation::render_paths(&ablation::path_split()),
-            ablation::render_blocks(&ablation::block_size(SEED)),
-            ablation::render_blockfp(&ablation::blockfp_sweep(SEED))
-        )),
-        "roofline" => Ok(roofline_exp::render(&roofline_exp::run_with(smoke))),
-        "batch" => Ok(batch_sweep::render(&batch_sweep::run())),
-        "serving" => Ok(serving_exp::render(&serving_exp::run())),
-        "serve" => Ok(serve_exp::render(&serve_exp::run())),
-        "serve-faults" => Ok(serve_faults_exp::render(&serve_faults_exp::run())),
-        "dse" => Ok(dse_exp::render(&dse_exp::run())),
-        other => Err(format!("unknown experiment '{other}'")),
-    }
-}
+            ablation::render_align(&align),
+            ablation::render_window(&window),
+            ablation::render_paths(&paths),
+            ablation::render_blocks(&blocks),
+            ablation::render_blockfp(&blockfp)
+        );
+        let json = serde_json::json!({
+            "align_width": align,
+            "window_width": window,
+            "path_split": paths,
+            "block_size": blocks,
+            "blockfp_sweep": blockfp,
+        });
+        (json, text)
+    }),
+    ("roofline", |smoke| {
+        output(roofline_exp::run_with(smoke), roofline_exp::render)
+    }),
+    ("batch", |_| output(batch_sweep::run(), batch_sweep::render)),
+    ("serving", |_| {
+        output(serving_exp::run(), serving_exp::render)
+    }),
+    ("serve", |_| output(serve_exp::run(), serve_exp::render)),
+    ("serve-faults", |_| {
+        output(serve_faults_exp::run(), serve_faults_exp::render)
+    }),
+    ("dse", |_| output(dse_exp::run(), dse_exp::render)),
+];
 
 /// `repro pack [--out PATH] [--budget BYTES] [--verify]` — the offline
 /// half of the serving cold start: streaming-encode the deterministic
@@ -384,35 +360,44 @@ fn main() {
     }
     let smoke = args.iter().any(|a| a == "--smoke");
     args.retain(|a| a != "--smoke");
-    let targets: Vec<&str> = match args.first().map(String::as_str) {
+    let names = || {
+        EXPERIMENTS
+            .iter()
+            .map(|&(name, _)| name)
+            .collect::<Vec<_>>()
+            .join("|")
+    };
+    let targets = match args.first().map(String::as_str) {
         None | Some("all") => EXPERIMENTS.to_vec(),
         Some("--help") | Some("-h") => {
             eprintln!(
                 "usage: repro [all|{}] [--json] [--smoke]\n       repro pack [--out PATH] [--budget BYTES] [--verify]\n       repro features [--archive PATH]\n       repro serve-faults --json PATH",
-                EXPERIMENTS.join("|")
+                names()
             );
             return;
         }
-        Some(name) => vec![name],
-    };
-    for (i, name) in targets.iter().enumerate() {
-        let rendered = if json {
-            run_json(name, smoke)
-        } else {
-            run_one(name, smoke)
-        };
-        match rendered {
-            Ok(out) => {
-                if i > 0 && !json {
-                    println!("\n{}\n", "=".repeat(78));
-                }
-                println!("{out}");
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                eprintln!("usage: repro [all|{}] [--json]", EXPERIMENTS.join("|"));
+        Some(name) => match EXPERIMENTS.iter().find(|&&(n, _)| n == name) {
+            Some(&experiment) => vec![experiment],
+            None => {
+                eprintln!("error: unknown experiment '{name}'");
+                eprintln!("usage: repro [all|{}] [--json]", names());
                 std::process::exit(2);
             }
+        },
+    };
+    for (i, (name, run)) in targets.into_iter().enumerate() {
+        let (value, text) = run(smoke);
+        if json {
+            let envelope = serde_json::json!({ "experiment": name, "result": value });
+            println!(
+                "{}",
+                serde_json::to_string_pretty(&envelope).expect("JSON values serialize")
+            );
+        } else {
+            if i > 0 {
+                println!("\n{}\n", "=".repeat(78));
+            }
+            println!("{text}");
         }
     }
 }

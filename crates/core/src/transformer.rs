@@ -277,14 +277,19 @@ impl TinyTransformer {
     ///
     /// # Errors
     ///
-    /// Propagates datapath errors (cannot occur for finite inputs).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `input.len() != seq × hidden`.
+    /// [`ArithError::DimensionMismatch`] (`what: "input"`) if
+    /// `input.len() != seq × hidden`, checked before any work on every
+    /// engine; otherwise propagates datapath errors (cannot occur for
+    /// finite inputs).
     pub fn forward(&self, input: &[Bf16], engine: GemmEngine) -> Result<ForwardTrace, ArithError> {
         let c = self.config;
-        assert_eq!(input.len(), c.seq * c.hidden, "input shape mismatch");
+        if input.len() != c.seq * c.hidden {
+            return Err(ArithError::DimensionMismatch {
+                what: "input",
+                expected: c.seq * c.hidden,
+                actual: input.len(),
+            });
+        }
         let mut trace = ForwardTrace {
             output: Vec::new(),
             gemm_outputs: Vec::new(),
@@ -585,11 +590,21 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "input shape mismatch")]
-    fn wrong_input_shape_panics() {
+    fn wrong_input_shape_is_a_typed_error_on_every_engine() {
         let cfg = TinyConfig::small();
         let model = TinyTransformer::new(cfg, ModelId::Gpt2Base, 1);
-        let _ = model.forward(&[Bf16::ONE; 3], GemmEngine::Exact);
+        for engine in [GemmEngine::Exact, GemmEngine::Owlp, GemmEngine::FpBaseline] {
+            let err = model.forward(&[Bf16::ONE; 3], engine).unwrap_err();
+            assert_eq!(
+                err,
+                ArithError::DimensionMismatch {
+                    what: "input",
+                    expected: cfg.seq * cfg.hidden,
+                    actual: 3,
+                },
+                "{engine:?}"
+            );
+        }
     }
 
     fn temp_path(name: &str) -> std::path::PathBuf {

@@ -1,35 +1,14 @@
-//! Cache-blocking geometry for the GEMM drive loops.
+//! Host cache and CPU identification.
 //!
-//! The microkernels compute one register tile per call; *how often their
-//! operands fall out of cache between calls* is decided by the drive
-//! loops in `owlp-arith`. This module centralizes the BLIS-style
-//! three-level blocking parameters those loops use:
-//!
-//! * **Kc** — depth of one panel stripe. Sized so an NR-wide weight
-//!   stripe (`kc × NR` elements) stays resident in L1d while every row
-//!   block of A sweeps it.
-//! * **Mc** — rows of A per block. Sized so the `mc × kc` A stripe stays
-//!   resident in L2 while all `nc` columns sweep it.
-//! * **Nc** — columns per outer block. Sized so the `kc × nc` stripe of
-//!   packed panels stays resident in L3 across the Mc sweep.
-//!
-//! Because every accumulation in the workspace is *exact integer*
-//! arithmetic (i64 lanes under the spill bound, i128 windows), blocking
-//! is pure re-association: any `(mc, kc, nc)` produces bit-identical
-//! output. The geometry is therefore a pure performance knob, chosen
-//! from detected cache sizes ([`cache_info`]), overridable via
-//! [`ENV_BLOCK`] (`OWLP_BLOCK=mc,kc,nc`, `0` = unlimited) for
-//! experiments, and forceable per-scope with [`with_block`] for the
-//! blocked-vs-unblocked equivalence tests.
+//! [`cache_info`] and [`cpu_model`] describe the machine a measurement
+//! was taken on. The GEMM drive loops in `owlp-arith` do not use them:
+//! each loop sweeps every weight panel over all activation rows in one
+//! traversal, the weight-stationary order of the OwL-P array, with no
+//! cache blocking on top. [`BlockGeometry`] and [`block_geometry`] remain
+//! only so a host fingerprint can print that order (`0,0,0`).
 
 use serde::{Deserialize, Serialize};
-use std::cell::Cell;
 use std::sync::OnceLock;
-
-/// Environment variable overriding the blocking geometry:
-/// `OWLP_BLOCK=mc,kc,nc` (each a positive integer; `0` means unlimited,
-/// i.e. the full matrix extent in that dimension).
-pub const ENV_BLOCK: &str = "OWLP_BLOCK";
 
 /// Detected (or defaulted) per-core data-cache capacities in bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -129,81 +108,29 @@ pub fn cpu_model() -> Option<String> {
         .clone()
 }
 
-/// One three-level blocking geometry: `mc` rows × `kc` depth × `nc`
-/// columns per cache block. `usize::MAX` in a field means "unlimited"
-/// (the full matrix extent — i.e. that loop level is effectively off).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+/// A three-level blocking geometry: `mc` rows × `kc` depth × `nc`
+/// columns. `usize::MAX` in a field means the full matrix extent.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BlockGeometry {
-    /// Rows of A per L2-resident block.
+    /// Rows of A per block.
     pub mc: usize,
-    /// Depth of one L1-resident panel stripe.
+    /// Depth of one panel stripe.
     pub kc: usize,
-    /// Columns per L3-resident block.
+    /// Columns per block.
     pub nc: usize,
 }
 
 impl BlockGeometry {
-    /// The geometry that disables blocking entirely (every loop level
-    /// covers the full extent) — the pre-blocking drive-loop order, kept
-    /// as the comparison baseline.
+    /// Every level covers the full extent: the order both drive loops
+    /// use.
     pub const UNBLOCKED: BlockGeometry = BlockGeometry {
         mc: usize::MAX,
         kc: usize::MAX,
         nc: usize::MAX,
     };
-
-    /// Parses an `OWLP_BLOCK` value: `mc,kc,nc`, each a non-negative
-    /// integer, `0` meaning unlimited. Returns `None` on malformed
-    /// input.
-    pub fn parse(s: &str) -> Option<BlockGeometry> {
-        let mut it = s.split(',').map(|p| p.trim().parse::<usize>().ok());
-        let mut next = || {
-            it.next()
-                .flatten()
-                .map(|v| if v == 0 { usize::MAX } else { v })
-        };
-        let (mc, kc, nc) = (next()?, next()?, next()?);
-        if it.next().is_some() {
-            return None;
-        }
-        Some(BlockGeometry { mc, kc, nc })
-    }
-
-    /// Clamps the geometry to a concrete GEMM shape and register tile:
-    /// every field capped at its matrix extent, `mc` rounded up to a
-    /// multiple of `mr` and `nc` to a multiple of `nr` (register tiles
-    /// must never straddle a block boundary — panels are `nr` columns
-    /// wide and A tiles `mr` rows tall), and floors so degenerate
-    /// requests (`OWLP_BLOCK=1,1,1`) stay legal rather than panicking.
-    pub fn for_shape(self, m: usize, k: usize, n: usize, mr: usize, nr: usize) -> BlockGeometry {
-        let cap = |v: usize, extent: usize| v.min(extent.max(1));
-        BlockGeometry {
-            mc: cap(self.mc, m).next_multiple_of(mr),
-            kc: cap(self.kc, k),
-            nc: cap(self.nc, n).next_multiple_of(nr),
-        }
-    }
-
-    /// Derives a geometry from cache capacities for a GEMM whose packed
-    /// elements are `elem_bytes` wide and whose register tile is
-    /// `mr × nr` (see the module docs for the residency targets). Each
-    /// level uses roughly half its cache, leaving room for the other
-    /// operand's stream and the accumulator plane.
-    pub fn from_caches(cache: CacheInfo, elem_bytes: usize, mr: usize, nr: usize) -> BlockGeometry {
-        let kc = (cache.l1d / (2 * nr * elem_bytes)).clamp(64, 4096);
-        // Round Kc down to the panel padding quantum so stripe slices
-        // stay aligned with packed-panel depth groups.
-        let kc = (kc / 8).max(1) * 8;
-        let mc = (cache.l2 / (2 * kc * elem_bytes))
-            .clamp(mr, 512)
-            .next_multiple_of(mr);
-        let nc = (cache.l3 / (4 * kc * elem_bytes))
-            .clamp(nr * 4, 8192)
-            .next_multiple_of(nr);
-        BlockGeometry { mc, kc, nc }
-    }
 }
 
+/// Renders `mc,kc,nc`, with `0` for an unlimited field.
 impl std::fmt::Display for BlockGeometry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let field = |v: usize| -> String {
@@ -223,57 +150,11 @@ impl std::fmt::Display for BlockGeometry {
     }
 }
 
-/// The geometry requested via [`ENV_BLOCK`] — `None` when unset, empty,
-/// or malformed (malformed warns once on stderr and falls back to
-/// derived, rather than silently changing loop structure).
-pub fn env_block() -> Option<BlockGeometry> {
-    static REQUEST: OnceLock<Option<BlockGeometry>> = OnceLock::new();
-    *REQUEST.get_or_init(|| match std::env::var(ENV_BLOCK) {
-        Ok(v) if !v.is_empty() => {
-            let parsed = BlockGeometry::parse(&v);
-            if parsed.is_none() {
-                eprintln!("warning: {ENV_BLOCK}={v} is not mc,kc,nc; using derived geometry");
-            }
-            parsed
-        }
-        _ => None,
-    })
-}
-
-thread_local! {
-    /// Scoped per-thread geometry override (see [`with_block`]).
-    static BLOCK_OVERRIDE: Cell<Option<BlockGeometry>> = const { Cell::new(None) };
-}
-
-/// Runs `f` with the blocking geometry forced to `geometry` on the
-/// **current thread** — the equivalence-test hook, mirroring
-/// [`crate::simd::with_tier`]. Restores the previous override on exit,
-/// including on unwind. Like the tier override, the drive loops resolve
-/// the geometry *before* fanning out to the thread pool, so a forced
-/// geometry applies at every thread count.
-pub fn with_block<R>(geometry: BlockGeometry, f: impl FnOnce() -> R) -> R {
-    struct Restore(Option<BlockGeometry>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            BLOCK_OVERRIDE.with(|c| c.set(self.0));
-        }
-    }
-    let _restore = Restore(BLOCK_OVERRIDE.with(|c| c.replace(Some(geometry))));
-    f()
-}
-
-/// The blocking geometry a drive loop should use right now, *before*
-/// clamping to a concrete shape: the thread-local [`with_block`]
-/// override if one is active, else the [`ENV_BLOCK`] request, else the
-/// cache-derived default for the given element width and register tile.
-pub fn block_geometry(elem_bytes: usize, mr: usize, nr: usize) -> BlockGeometry {
-    if let Some(g) = BLOCK_OVERRIDE.with(Cell::get) {
-        return g;
-    }
-    if let Some(g) = env_block() {
-        return g;
-    }
-    BlockGeometry::from_caches(cache_info(), elem_bytes, mr, nr)
+/// The geometry the drive loops use for a GEMM of `elem_bytes`-wide
+/// elements on an `mr × nr` register tile: always
+/// [`BlockGeometry::UNBLOCKED`].
+pub fn block_geometry(_elem_bytes: usize, _mr: usize, _nr: usize) -> BlockGeometry {
+    BlockGeometry::UNBLOCKED
 }
 
 #[cfg(test)]
@@ -293,87 +174,27 @@ mod tests {
 
     #[test]
     fn geometry_strings_round_trip() {
-        let g = BlockGeometry::parse("64,256,1024").unwrap();
-        assert_eq!(
-            g,
-            BlockGeometry {
-                mc: 64,
-                kc: 256,
-                nc: 1024
-            }
-        );
+        // `mc,kc,nc` with 0 for an unlimited field, read back field by
+        // field.
+        let read = |s: &str| -> Vec<usize> {
+            s.split(',')
+                .map(|p| match p.parse::<usize>().unwrap() {
+                    0 => usize::MAX,
+                    v => v,
+                })
+                .collect()
+        };
+        let g = BlockGeometry {
+            mc: 64,
+            kc: 256,
+            nc: 1024,
+        };
         assert_eq!(g.to_string(), "64,256,1024");
-        // 0 means unlimited and renders back as 0.
-        let g = BlockGeometry::parse("0,128,0").unwrap();
-        assert_eq!(g.mc, usize::MAX);
-        assert_eq!(g.kc, 128);
-        assert_eq!(g.nc, usize::MAX);
-        assert_eq!(g.to_string(), "0,128,0");
-        assert_eq!(BlockGeometry::parse(""), None);
-        assert_eq!(BlockGeometry::parse("1,2"), None);
-        assert_eq!(BlockGeometry::parse("1,2,3,4"), None);
-        assert_eq!(BlockGeometry::parse("a,b,c"), None);
-    }
-
-    #[test]
-    fn for_shape_caps_rounds_and_never_panics() {
-        let g = BlockGeometry::UNBLOCKED.for_shape(100, 37, 50, 4, 4);
-        assert_eq!(
-            g,
-            BlockGeometry {
-                mc: 100,
-                kc: 37,
-                nc: 52
-            }
-        );
-        // Degenerate requests stay legal.
-        let g = BlockGeometry {
-            mc: 1,
-            kc: 1,
-            nc: 1,
-        }
-        .for_shape(9, 9, 9, 8, 4);
-        assert_eq!(
-            g,
-            BlockGeometry {
-                mc: 8,
-                kc: 1,
-                nc: 4
-            }
-        );
-        // Block larger than the shape clamps to the (rounded) extent.
-        let g = BlockGeometry {
-            mc: 999,
-            kc: 999,
-            nc: 999,
-        }
-        .for_shape(6, 5, 7, 4, 4);
-        assert_eq!(
-            g,
-            BlockGeometry {
-                mc: 8,
-                kc: 5,
-                nc: 8
-            }
-        );
-        // Zero-sized shapes round up to one tile rather than zero.
-        let g = BlockGeometry::UNBLOCKED.for_shape(0, 0, 0, 4, 4);
-        assert!(g.mc >= 4 && g.kc >= 1 && g.nc >= 4);
-    }
-
-    #[test]
-    fn derived_geometry_is_sane_for_both_element_widths() {
-        let cache = DEFAULT_CACHE;
-        for (elem, mr) in [(2usize, 8usize), (4, 4)] {
-            let g = BlockGeometry::from_caches(cache, elem, mr, 4);
-            assert!(g.kc >= 64 && g.kc <= 4096, "{g:?}");
-            assert!(g.kc.is_multiple_of(8), "{g:?}");
-            assert!(g.mc >= mr && g.mc.is_multiple_of(mr), "{g:?}");
-            assert!(g.nc >= 16 && g.nc.is_multiple_of(4), "{g:?}");
-            // The residency targets: stripe in L1, A block in L2.
-            assert!(g.kc * 4 * elem <= cache.l1d, "{g:?}");
-            assert!(g.mc * g.kc * elem <= cache.l2, "{g:?}");
-        }
+        assert_eq!(read(&g.to_string()), [g.mc, g.kc, g.nc]);
+        let unblocked = block_geometry(2, 8, 4);
+        assert_eq!(unblocked, BlockGeometry::UNBLOCKED);
+        assert_eq!(unblocked.to_string(), "0,0,0");
+        assert_eq!(read(&unblocked.to_string()), [usize::MAX; 3]);
     }
 
     #[test]
@@ -381,41 +202,5 @@ mod tests {
         let c = cache_info();
         assert!(c.l1d > 0 && c.l2 >= c.l1d && c.l3 >= c.l2);
         assert_eq!(cache_info(), c);
-    }
-
-    #[test]
-    fn with_block_scopes_nest_and_restore() {
-        let forced = BlockGeometry {
-            mc: 8,
-            kc: 16,
-            nc: 12,
-        };
-        with_block(forced, || {
-            assert_eq!(block_geometry(2, 4, 4), forced);
-            with_block(BlockGeometry::UNBLOCKED, || {
-                assert_eq!(block_geometry(2, 4, 4), BlockGeometry::UNBLOCKED);
-            });
-            assert_eq!(block_geometry(2, 4, 4), forced);
-        });
-        // Outside the scope the resolution falls back to env/derived.
-        let outer = block_geometry(2, 8, 4);
-        assert!(outer.kc >= 1);
-    }
-
-    #[test]
-    fn with_block_restores_on_unwind() {
-        let before = block_geometry(2, 4, 4);
-        let caught = std::panic::catch_unwind(|| {
-            with_block(
-                BlockGeometry {
-                    mc: 4,
-                    kc: 4,
-                    nc: 4,
-                },
-                || panic!("boom"),
-            );
-        });
-        assert!(caught.is_err());
-        assert_eq!(block_geometry(2, 4, 4), before);
     }
 }

@@ -69,7 +69,7 @@ pub use archive2::{
 };
 pub use bands::OutlierBands;
 pub use bf16::Bf16;
-pub use blocking::{block_geometry, cache_info, with_block, BlockGeometry, CacheInfo, ENV_BLOCK};
+pub use blocking::{block_geometry, cache_info, BlockGeometry, CacheInfo};
 pub use chunk::{PackedTensor, PackingLayout};
 pub use decode::{BiasDecoder, DecodedOperand};
 pub use encode::{encode_tensor, encode_tensor_into, EncodedTensor};
