@@ -69,7 +69,7 @@ pub mod window;
 
 pub use align::{AlignUnit, Contribution};
 pub use error::ArithError;
-pub use exact::{exact_dot, exact_gemm, exact_gemm_abft, AbftCheck};
+pub use exact::{exact_dot, exact_gemm};
 pub use fpmac::{fp_mac_dot, fp_mac_gemm};
 pub use gemm::{
     owlp_gemm, owlp_gemm_packed_abft, owlp_gemm_prepared, owlp_gemm_prepared_f32_with,

@@ -1,13 +1,12 @@
 //! Register-tiled GEMM microkernels with explicit SIMD tiers and
 //! runtime dispatch.
 //!
-//! The scalar hot loops ([`crate::gemm::owlp_gemm_packed`] and the
-//! windowed [`crate::exact::exact_gemm`] tiles) historically did one
-//! `u16 as i64 × u16 as i64` FMA per product, plus a per-product branch
-//! for the sign and the `{0,4,8}` post-multiply shift. The paper's whole
-//! point is that the OwL-P datapath is *integer-only* — so the software
-//! model should run at integer-SIMD speed too. This module restructures
-//! the inner loop around two facts:
+//! The scalar hot loop of [`crate::gemm::owlp_gemm_packed`] historically
+//! did one `u16 as i64 × u16 as i64` FMA per product, plus a per-product
+//! branch for the sign and the `{0,4,8}` post-multiply shift. The paper's
+//! whole point is that the OwL-P datapath is *integer-only* — so the
+//! software model should run at integer-SIMD speed too. This module
+//! restructures the inner loop around two facts:
 //!
 //! 1. **Products are exact in narrow integers.** A packed operand's folded
 //!    significand (`sval = ±(mag << 4·sh)`, see
@@ -42,11 +41,11 @@
 //! x86-64 ([`x86`]), NEON on aarch64 ([`neon`]). A tier is selected once
 //! per process ([`dispatch::selected_tier`]) from runtime CPU detection
 //! and the `OWLP_SIMD=scalar|sse2|avx2|neon|auto` override; tests force
-//! tiers per-scope with [`with_tier`]. The drive loops resolve the tier
-//! *before* fanning out to the thread pool and call the `*_with` variants
-//! so a forced tier holds at every thread count. On the Sse2 tier,
-//! [`tile_dot_i32`] stays scalar (SSE2 has no signed widening 32-bit
-//! multiply); all other entry points vectorize on every non-scalar tier.
+//! tiers per-scope with [`with_tier`]. The GEMM drive loop resolves the
+//! tier *before* fanning out to the thread pool and calls the `*_with`
+//! variants so a forced tier holds at every thread count. [`band_dot`]
+//! vectorizes only on AVX2 (it needs a signed widening 32-bit multiply);
+//! all other entry points vectorize on every non-scalar tier.
 //!
 //! The kernel computes an [`MR`]×[`NR`] output tile per call: `MR` rows
 //! of A (flat sval slices) against one [`owlp_format::PackedPanels`]
@@ -57,10 +56,8 @@
 //! beyond the K segment ([`owlp_format::PackedPanels::padded_k`]); the
 //! kernels only require `panel.len() ≥ seg·NR`.
 //!
-//! The `i32` twin ([`tile_dot_i32`]) serves the exact-GEMM band path,
-//! where in-band aligned magnitudes span up to 31 bits; its caller sizes
-//! the band so that even the **full-k** lane sum fits `i64` (see
-//! `crate::exact`), so it needs no intermediate spill.
+//! The exact oracle [`crate::exact::exact_gemm`] calls none of these
+//! kernels: it shares no fast code with the path it judges.
 
 pub mod dispatch;
 #[cfg(target_arch = "aarch64")]
@@ -265,47 +262,6 @@ pub fn dot_sval_with(tier: KernelTier, a: &[i16], b: &[i16], win0: WindowAcc) ->
     win
 }
 
-/// The `i32` twin of [`tile_mul_i16_with`] for the exact-GEMM band
-/// planes: products are taken in `i64` (`|a| < 2^31` each side). The
-/// caller's band-width budget guarantees the full-depth lane sum fits
-/// `i64`, so no spill period applies here. The Sse2 tier has no vector
-/// path (no SSE2 signed widening 32-bit multiply) and runs the scalar
-/// oracle.
-#[inline]
-fn tile_mul_i32_with(
-    tier: KernelTier,
-    a_rows: [&[i32]; MR],
-    panel: &[i32],
-    lanes: &mut [[i64; NR]; MR],
-) {
-    let seg = a_rows[0].len();
-    debug_assert!(a_rows.iter().all(|r| r.len() == seg));
-    debug_assert!(panel.len() >= seg * NR);
-    match dispatch::clamp(tier) {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `clamp` only yields Avx2 when runtime detection saw it.
-        KernelTier::Avx2 => unsafe { x86::tile_mul_i32_avx2(a_rows, panel, lanes) },
-        #[cfg(target_arch = "aarch64")]
-        KernelTier::Neon => neon::tile_mul_i32_neon(a_rows, panel, lanes),
-        _ => scalar::tile_mul_i32(a_rows, panel, lanes),
-    }
-}
-
-/// Full-depth MR×NR tile over `i32` band planes, returning raw `i64`
-/// lane sums (the caller owns rounding / correction).
-#[inline]
-pub fn tile_dot_i32(a_rows: [&[i32]; MR], panel: &[i32]) -> [[i64; NR]; MR] {
-    tile_dot_i32_with(selected_tier(), a_rows, panel)
-}
-
-/// [`tile_dot_i32`] on an explicit tier.
-#[inline]
-pub fn tile_dot_i32_with(tier: KernelTier, a_rows: [&[i32]; MR], panel: &[i32]) -> [[i64; NR]; MR] {
-    let mut lanes = [[0i64; NR]; MR];
-    tile_mul_i32_with(tier, a_rows, panel, &mut lanes);
-    lanes
-}
-
 /// One band of the GEMM's outlier correction (see `owlp_format::bands`):
 /// `lanes[c] = Σ coefs[x] · panel[depths[x]·NR + c]`, on the
 /// process-selected tier. With `counts`, also adds to `counts[c]` how many
@@ -349,15 +305,10 @@ pub fn band_dot_with(
 
 /// The tier each public entry point *effectively* runs on under the
 /// current selection — they differ only where an ISA level lacks the
-/// needed instruction (Sse2's `tile_dot_i32`, every non-AVX2 tier's
-/// `band_dot`). For `repro features`.
-pub fn entry_point_tiers() -> [(&'static str, KernelTier); 5] {
+/// needed instruction (every non-AVX2 tier's `band_dot`). For
+/// `repro features`.
+pub fn entry_point_tiers() -> [(&'static str, KernelTier); 4] {
     let t = selected_tier();
-    let i32_tier = if t == KernelTier::Sse2 {
-        KernelTier::Scalar
-    } else {
-        t
-    };
     let band_tier = if t == KernelTier::Avx2 {
         t
     } else {
@@ -366,7 +317,6 @@ pub fn entry_point_tiers() -> [(&'static str, KernelTier); 5] {
     [
         ("tile_dot_i16", t),
         ("tile_dot_i16_x8", t),
-        ("tile_dot_i32", i32_tier),
         ("dot_sval", t),
         ("band_dot", band_tier),
     ]
@@ -524,32 +474,6 @@ mod tests {
     }
 
     #[test]
-    fn i32_tile_matches_scalar() {
-        let k = 129;
-        let mut state = 0xACE1u64;
-        let mut next = || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            ((state >> 33) as i32 % (1 << 20)) - (1 << 19)
-        };
-        let a: Vec<i32> = (0..MR * k).map(|_| next()).collect();
-        let panel: Vec<i32> = (0..k * NR).map(|_| next()).collect();
-        let a_rows: [&[i32]; MR] = std::array::from_fn(|r| &a[r * k..(r + 1) * k]);
-        for &tier in available_tiers() {
-            let lanes = tile_dot_i32_with(tier, a_rows, &panel);
-            for r in 0..MR {
-                for c in 0..NR {
-                    let scalar: i64 = (0..k)
-                        .map(|kk| a[r * k + kk] as i64 * panel[kk * NR + c] as i64)
-                        .sum();
-                    assert_eq!(lanes[r][c], scalar, "tier {tier} ({r},{c})");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn max_magnitude_svals_are_exact_on_every_tier() {
         // The madd worst case: every operand at ±32752 with alternating
         // signs, odd length so the remainder path runs too.
@@ -649,7 +573,7 @@ mod tests {
     #[test]
     fn entry_point_tiers_are_consistent() {
         let tiers = entry_point_tiers();
-        assert_eq!(tiers.len(), 5);
+        assert_eq!(tiers.len(), 4);
         for (name, tier) in tiers {
             assert!(
                 available_tiers().contains(&tier),

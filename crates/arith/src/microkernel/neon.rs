@@ -5,9 +5,8 @@
 //! two `i16×i16` products per `i32` lane — `≤ 2·32752² < 2^31`, so the
 //! `i32` never wraps given the sval bound), and every `i32` partial is
 //! widened to `i64` lanes (`vaddw_s32` / `vpadalq_s32`) before further
-//! accumulation. `vmlal_s32` is an exact 32×32→64 widening MAC for the
-//! band path. NEON is mandatory in AArch64, so these are safe functions
-//! dispatched whenever the tier is selected.
+//! accumulation. NEON is mandatory in AArch64, so these are safe
+//! functions dispatched whenever the tier is selected.
 
 #![allow(unsafe_code)]
 
@@ -80,32 +79,4 @@ pub fn dot_seg_neon(a: &[i16], b: &[i16]) -> i64 {
     }
     sum += scalar::dot_seg(&a[wide..], &b[wide..]);
     sum
-}
-
-/// NEON tier of `tile_mul_i32_with`: per depth, `vmlal_s32` widening
-/// MACs of the broadcast A value against each half of the panel quad.
-#[inline]
-pub fn tile_mul_i32_neon(a_rows: [&[i32]; MR], panel: &[i32], lanes: &mut [[i64; NR]; MR]) {
-    let seg = a_rows[0].len();
-    unsafe {
-        let p = panel.as_ptr();
-        let mut acc = [[vdupq_n_s64(0); 2]; MR];
-        for kk in 0..seg {
-            let b = vld1q_s32(p.add(kk * NR));
-            let (blo, bhi) = (vget_low_s32(b), vget_high_s32(b));
-            for r in 0..MR {
-                let av = vdup_n_s32(*a_rows[r].get_unchecked(kk));
-                acc[r][0] = vmlal_s32(acc[r][0], blo, av);
-                acc[r][1] = vmlal_s32(acc[r][1], bhi, av);
-            }
-        }
-        for (lr, ar) in lanes.iter_mut().zip(&acc) {
-            let mut t = [0i64; NR];
-            vst1q_s64(t.as_mut_ptr(), ar[0]);
-            vst1q_s64(t.as_mut_ptr().add(2), ar[1]);
-            for (lane, v) in lr.iter_mut().zip(t) {
-                *lane += v;
-            }
-        }
-    }
 }

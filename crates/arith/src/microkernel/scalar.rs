@@ -41,22 +41,6 @@ pub fn dot_seg(a: &[i16], b: &[i16]) -> i64 {
     sum
 }
 
-/// Scalar tier of `tile_mul_i32_with`: band-plane products taken
-/// directly in `i64` (`|a| < 2^31` each side).
-#[inline]
-pub fn tile_mul_i32(a_rows: [&[i32]; MR], panel: &[i32], lanes: &mut [[i64; NR]; MR]) {
-    let seg = a_rows[0].len();
-    for kk in 0..seg {
-        let b = &panel[kk * NR..kk * NR + NR];
-        for r in 0..MR {
-            let av = a_rows[r][kk] as i64;
-            for (c, lane) in lanes[r].iter_mut().enumerate() {
-                *lane += av * b[c] as i64;
-            }
-        }
-    }
-}
-
 /// Scalar tier of [`super::band_dot`]: one `i32×i16→i64` product per
 /// record and column, plus the nonzero-word count when asked.
 #[inline]

@@ -234,37 +234,6 @@ pub unsafe fn dot_seg_avx2(a: &[i16], b: &[i16]) -> i64 {
     t.iter().sum::<i64>() + scalar::dot_seg(&a[wide..], &b[wide..])
 }
 
-/// AVX2 tier of `tile_mul_i32_with`: per depth, the four panel
-/// columns are sign-extended to i64 lanes and multiplied against the
-/// broadcast A value with `_mm256_mul_epi32` (a 32×32→64 signed multiply
-/// of each lane's low dword — exact). There is no SSE2 tier: the SSE2
-/// ISA has no signed widening 32-bit multiply (`mul_epi32` is SSE4.1),
-/// so the Sse2 dispatch level keeps this entry point scalar.
-///
-/// # Safety
-/// The caller must have verified AVX2 support.
-#[target_feature(enable = "avx2")]
-pub unsafe fn tile_mul_i32_avx2(a_rows: [&[i32]; MR], panel: &[i32], lanes: &mut [[i64; NR]; MR]) {
-    let seg = a_rows[0].len();
-    let p = panel.as_ptr();
-    let mut acc = [_mm256_setzero_si256(); MR];
-    for kk in 0..seg {
-        // [b0,b1,b2,b3] → i64 lanes whose low dwords are b0..b3.
-        let bw = _mm256_cvtepi32_epi64(_mm_loadu_si128(p.add(kk * NR) as *const __m128i));
-        for (ar, accr) in a_rows.iter().zip(&mut acc) {
-            let av = _mm256_set1_epi32(*ar.get_unchecked(kk));
-            *accr = _mm256_add_epi64(*accr, _mm256_mul_epi32(av, bw));
-        }
-    }
-    for (lr, ar) in lanes.iter_mut().zip(&acc) {
-        let mut t = [0i64; NR];
-        _mm256_storeu_si256(t.as_mut_ptr() as *mut __m256i, *ar);
-        for (lane, v) in lr.iter_mut().zip(t) {
-            *lane += v;
-        }
-    }
-}
-
 /// AVX2 tier of [`super::band_dot`]: one record per step — the panel row's
 /// four `i16` words sign-extend into `i64` lanes, and `mul_epi32` takes
 /// the exact signed `i32×i32→i64` product of each lane's low half with the

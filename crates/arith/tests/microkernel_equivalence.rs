@@ -1,15 +1,14 @@
-//! Cross-product equivalence of the GEMM drive loops: kernel tier ×
+//! Cross-product equivalence of the two GEMM paths: kernel tier ×
 //! thread count must never change a single output bit.
 //!
-//! Both drive loops accumulate in exact integer arithmetic, so any
-//! regrouping of the sums — SIMD lanes, register tiles, parallel chunks —
-//! is pure re-association. The oracle is the forced-scalar tier on one
-//! thread; every other combination must reproduce it exactly, ABFT sums
-//! included.
+//! Both paths accumulate in exact integer arithmetic, so any regrouping
+//! of the sums — SIMD lanes, register tiles, parallel chunks — is pure
+//! re-association. The oracle is the forced-scalar tier on one thread;
+//! every other combination must reproduce it exactly.
 
 use owlp_arith::gemm::{owlp_gemm, owlp_gemm_packed};
 use owlp_arith::microkernel::{self, K_SPILL};
-use owlp_arith::{exact_gemm, exact_gemm_abft, AlignUnit, KulischAcc, PeConfig};
+use owlp_arith::{exact_gemm, AlignUnit, KulischAcc, PeConfig};
 use owlp_format::simd::KernelTier;
 use owlp_format::{
     encode_tensor, ArchiveWriter, Bf16, MappedArchive, PackedOperands, PackedPanels, PackedPlane,
@@ -37,15 +36,14 @@ fn tensor(len: usize, mut state: u64) -> Vec<Bf16> {
         .collect()
 }
 
-/// Output bits of both GEMM paths plus the exact path's ABFT row/column
-/// sums under the given tier and thread count.
+/// Output bits of both GEMM paths under the given tier and thread count.
 fn run_all(
     a: &[Bf16],
     b: &[Bf16],
     (m, k, n): (usize, usize, usize),
     tier: KernelTier,
     threads: usize,
-) -> (Vec<u32>, Vec<u32>, Vec<i128>) {
+) -> (Vec<u32>, Vec<u32>) {
     microkernel::with_tier(tier, || {
         owlp_par::with_threads(threads, || {
             let exact: Vec<u32> = exact_gemm(a, b, m, k, n)
@@ -58,18 +56,7 @@ fn run_all(
                 .iter()
                 .map(|v| v.to_bits())
                 .collect();
-            let (_, check) = exact_gemm_abft(a, b, m, k, n, None);
-            let abft: Vec<i128> = check
-                .map(|c| {
-                    c.observed
-                        .rows
-                        .iter()
-                        .chain(c.observed.cols.iter())
-                        .copied()
-                        .collect()
-                })
-                .unwrap_or_default();
-            (exact, owlp, abft)
+            (exact, owlp)
         })
     })
 }

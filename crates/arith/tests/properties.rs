@@ -139,7 +139,9 @@ proptest! {
     }
 
     /// OwL-P == exact on random GEMMs (the central theorem, re-proved at
-    /// the crate boundary with unrestrained inputs).
+    /// the crate boundary with unrestrained inputs), and exact == one
+    /// Kulisch register per product over the whole finite BF16 range:
+    /// subnormals, ±0, and exponents 1 and 254.
     #[test]
     fn owlp_equals_exact_gemm(
         a in prop::collection::vec(finite_bf16(), 12),
@@ -150,6 +152,14 @@ proptest! {
         let golden = exact_gemm(&a, &b, m, k, n);
         for (x, y) in r.output.iter().zip(&golden) {
             prop_assert_eq!(x.to_bits(), y.to_bits());
+        }
+        for (idx, y) in golden.iter().enumerate() {
+            let (i, j) = (idx / n, idx % n);
+            let mut acc = KulischAcc::new();
+            for kk in 0..k {
+                acc.add_product(a[i * k + kk], b[kk * n + j]);
+            }
+            prop_assert_eq!(y.to_bits(), acc.round_to_f32().to_bits(), "C[{}][{}]", i, j);
         }
     }
 

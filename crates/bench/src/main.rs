@@ -258,8 +258,14 @@ fn run_features(args: &[String]) {
     println!("kernel tiers : {}", tiers.join(" "));
     println!("selected tier: {}", microkernel::selected_tier());
     println!("entry points :");
-    for (entry, tier) in microkernel::entry_point_tiers() {
-        println!("  {entry:<14} {tier}");
+    let entries = microkernel::entry_point_tiers();
+    let width = entries
+        .iter()
+        .map(|(entry, _)| entry.len())
+        .max()
+        .unwrap_or(0);
+    for (entry, tier) in entries {
+        println!("  {entry:<width$} {tier}");
     }
     let env_of = |k: &str| std::env::var(k).unwrap_or_else(|_| "(unset)".into());
     println!(

@@ -51,7 +51,16 @@ impl GemmEngine {
         n: usize,
     ) -> Result<Vec<f32>, ArithError> {
         match self {
-            GemmEngine::Exact => Ok(exact_gemm(a, b, m, k, n)),
+            GemmEngine::Exact => {
+                // `exact_gemm` panics on a non-finite operand: report the
+                // first one as the OwL-P engine's encoder does.
+                for t in [a, b] {
+                    if let Some(index) = t.iter().position(|x| !x.is_finite()) {
+                        return Err(ArithError::Format(FormatError::NonFinite { index }));
+                    }
+                }
+                Ok(exact_gemm(a, b, m, k, n))
+            }
             GemmEngine::Owlp => Ok(owlp_gemm(a, b, m, k, n)?.output),
             GemmEngine::FpBaseline => Ok(fp_mac_gemm(a, b, m, k, n)),
         }
@@ -280,7 +289,11 @@ impl TinyTransformer {
     /// [`ArithError::DimensionMismatch`] (`what: "input"`) if
     /// `input.len() != seq × hidden`, checked before any work on every
     /// engine; otherwise propagates datapath errors (cannot occur for
-    /// finite inputs).
+    /// finite inputs). A non-finite GEMM operand gives
+    /// [`ArithError::Format`] with [`FormatError::NonFinite`] on the
+    /// [`GemmEngine::Exact`] and [`GemmEngine::Owlp`] engines;
+    /// [`GemmEngine::FpBaseline`] propagates NaN and ±∞ as IEEE
+    /// arithmetic does.
     pub fn forward(&self, input: &[Bf16], engine: GemmEngine) -> Result<ForwardTrace, ArithError> {
         let c = self.config;
         if input.len() != c.seq * c.hidden {
@@ -605,6 +618,23 @@ mod tests {
                 "{engine:?}"
             );
         }
+    }
+
+    #[test]
+    fn nan_input_is_a_typed_error_on_the_exact_and_owlp_engines() {
+        let cfg = TinyConfig::small();
+        let model = TinyTransformer::new(cfg, ModelId::Gpt2Base, 1);
+        let mut x = input(cfg, 2);
+        x[cfg.hidden + 5] = Bf16::from_f32(f32::NAN);
+        let exact = model.forward(&x, GemmEngine::Exact).unwrap_err();
+        let owlp = model.forward(&x, GemmEngine::Owlp).unwrap_err();
+        assert!(
+            matches!(exact, ArithError::Format(FormatError::NonFinite { .. })),
+            "{exact:?}"
+        );
+        assert_eq!(exact, owlp, "both engines name the same operand");
+        let fp = model.forward(&x, GemmEngine::FpBaseline).unwrap();
+        assert!(fp.output.iter().any(|v| v.is_nan()), "FP propagates NaN");
     }
 
     fn temp_path(name: &str) -> std::path::PathBuf {
