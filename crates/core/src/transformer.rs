@@ -99,7 +99,7 @@ impl TinyConfig {
     }
 
     /// `(k, n)` of the four weight tensors of one layer, in the
-    /// wqkv/wo/w1/w2 order of `LayerWeights::prepared`.
+    /// wqkv/wo/w1/w2 order of [`LayerWeights`].
     fn weight_shapes(&self) -> [(usize, usize); 4] {
         [
             (self.hidden, 3 * self.hidden),
@@ -116,18 +116,13 @@ fn tensor_name(l: usize, t: usize) -> String {
     format!("layer{l}/{}", NAMES[t])
 }
 
-/// Per-layer weights in BF16 (as the accelerator stores them), each paired
-/// with its OwL-P-prepared form (encoded, packed, **and panel-tiled** once
-/// at construction, so repeated forward passes — a serving loop's decode
-/// iterations — never re-encode, re-decode, or re-tile a weight tensor).
-#[derive(Debug, Clone, PartialEq)]
-struct LayerWeights {
-    wqkv: Vec<Bf16>,               // hidden × 3·hidden
-    wo: Vec<Bf16>,                 // hidden × hidden
-    w1: Vec<Bf16>,                 // hidden × ffn
-    w2: Vec<Bf16>,                 // ffn × hidden
-    prepared: [PreparedTensor; 4], // wqkv, wo, w1, w2 — same order
-}
+/// The four weights of one layer, wqkv/wo/w1/w2, in their OwL-P-prepared
+/// form only: encoded, packed **and panel-tiled** once, so repeated
+/// forward passes — a serving loop's decode iterations — never re-encode,
+/// re-decode or re-tile a weight tensor. The planes are lossless, so the
+/// reference engines read each weight's BF16 values back from them
+/// ([`owlp_format::PackedOperands::to_bf16_vec`]) instead of a second copy.
+type LayerWeights = [PreparedTensor; 4];
 
 /// A complete functional transformer with profile-generated weights.
 #[derive(Debug, Clone, PartialEq)]
@@ -159,33 +154,22 @@ impl TinyTransformer {
             0,
             "hidden must divide into heads"
         );
-        let gen = |kind: OpKind, rows: usize, cols: usize, salt: u64| -> Vec<Bf16> {
-            let p = profile_for(model, kind, TensorRole::Weight, Dataset::WikiText2);
-            TensorGen::new(p, rows, cols).values(seed ^ salt)
-        };
+        const OPS: [OpKind; 4] = [
+            OpKind::QkvProj,
+            OpKind::OutProj,
+            OpKind::FfnUp,
+            OpKind::FfnDown,
+        ];
+        let shapes = config.weight_shapes();
         let layers = (0..config.layers)
             .map(|l| {
                 let s = (l as u64 + 1) * 0x9E37;
-                let wqkv = gen(OpKind::QkvProj, config.hidden, 3 * config.hidden, s);
-                let wo = gen(OpKind::OutProj, config.hidden, config.hidden, s ^ 0x11);
-                let w1 = gen(OpKind::FfnUp, config.hidden, config.ffn, s ^ 0x22);
-                let w2 = gen(OpKind::FfnDown, config.ffn, config.hidden, s ^ 0x33);
-                let prep = |t: &[Bf16], k: usize, n: usize| {
-                    PreparedTensor::with_shape(t, k, n).expect("generated weights are finite")
-                };
-                let prepared = [
-                    prep(&wqkv, config.hidden, 3 * config.hidden),
-                    prep(&wo, config.hidden, config.hidden),
-                    prep(&w1, config.hidden, config.ffn),
-                    prep(&w2, config.ffn, config.hidden),
-                ];
-                LayerWeights {
-                    wqkv,
-                    wo,
-                    w1,
-                    w2,
-                    prepared,
-                }
+                std::array::from_fn(|t| {
+                    let (k, n) = shapes[t];
+                    let p = profile_for(model, OPS[t], TensorRole::Weight, Dataset::WikiText2);
+                    let w = TensorGen::new(p, k, n).values(seed ^ s ^ (t as u64 * 0x11));
+                    PreparedTensor::with_shape(&w, k, n).expect("generated weights are finite")
+                })
             })
             .collect();
         TinyTransformer { config, layers }
@@ -198,7 +182,8 @@ impl TinyTransformer {
 
     /// Packs every weight tensor into an archive-v2 file at `path` —
     /// planes, sorted outlier tables, and microkernel panels laid out
-    /// exactly as the GEMM consumes them — under the
+    /// exactly as the GEMM consumes them, re-encoded chunk by chunk from
+    /// the values its prepared planes give back — under the
     /// `OWLP_STREAM_BUDGET` streaming-encode byte budget. The offline
     /// half of the serving cold start: [`TinyTransformer::from_archive`]
     /// maps the result back with zero decode or re-pack work.
@@ -230,10 +215,12 @@ impl TinyTransformer {
 
     fn write_tensors(&self, writer: &mut ArchiveWriter) -> Result<(), ArchiveError> {
         let shapes = self.config.weight_shapes();
-        for (l, lw) in self.layers.iter().enumerate() {
-            let tensors = [&lw.wqkv, &lw.wo, &lw.w1, &lw.w2];
-            for (t, (&(k, n), data)) in shapes.iter().zip(tensors).enumerate() {
-                writer.add_tensor_slice(&tensor_name(l, t), k, n, data)?;
+        for (l, layer) in self.layers.iter().enumerate() {
+            for (t, (&(k, n), prepared)) in shapes.iter().zip(layer).enumerate() {
+                let planes = prepared.packed();
+                writer.add_tensor(&tensor_name(l, t), k, n, |r, out| {
+                    *out = planes.to_bf16_range(r);
+                })?;
             }
         }
         Ok(())
@@ -241,42 +228,43 @@ impl TinyTransformer {
 
     /// Rebuilds a transformer from a packed archive, borrowing every
     /// weight plane and panel straight out of the mapped file: each
-    /// tensor's digests are verified, its BF16 values are reconstructed
-    /// losslessly (for the exact/FP reference engines), and its prepared
-    /// form adopts the mapped planes with no decode or re-pack — the
-    /// serving cold-start path. The result is equal to the transformer
-    /// that wrote the archive, and its forward pass is bit-identical.
+    /// tensor's digests are verified and its prepared form adopts the
+    /// mapped planes with no decode, re-pack or BF16 copy — the serving
+    /// cold-start path. The result is equal to the transformer that wrote
+    /// the archive, and its forward pass is bit-identical.
     ///
     /// # Errors
     ///
     /// [`ArchiveError`] for unreadable/corrupt archives, missing tensors,
-    /// or shapes that disagree with `config`.
+    /// or shapes that disagree with `config`. A `config` that
+    /// [`TinyTransformer::new`] would reject — `heads` zero or not
+    /// dividing `hidden` — gives [`FormatError::ShapeMismatch`] with
+    /// `expected: hidden` and `actual: heads·⌊hidden/heads⌋` (0 when
+    /// `heads` is 0), before the archive is opened.
     pub fn from_archive(config: TinyConfig, path: &Path) -> Result<Self, ArchiveError> {
+        let covered = config.heads * config.hidden.checked_div(config.heads).unwrap_or(0);
+        if config.heads == 0 || covered != config.hidden {
+            return Err(ArchiveError::Format(FormatError::ShapeMismatch {
+                expected: config.hidden,
+                actual: covered,
+            }));
+        }
         let archive = MappedArchive::open(path)?;
         let shapes = config.weight_shapes();
         let layers = (0..config.layers)
             .map(|l| {
-                let mut tensors: [Option<(Vec<Bf16>, PreparedTensor)>; 4] =
-                    [None, None, None, None];
-                for (t, slot) in tensors.iter_mut().enumerate() {
+                let mut layer = Vec::with_capacity(shapes.len());
+                for (t, &(k, n)) in shapes.iter().enumerate() {
                     let mapped = archive.tensor(&tensor_name(l, t))?;
-                    let (k, n) = shapes[t];
                     if (mapped.k(), mapped.n()) != (k, n) {
                         return Err(ArchiveError::Format(FormatError::ShapeMismatch {
                             expected: k * n,
                             actual: mapped.k() * mapped.n(),
                         }));
                     }
-                    *slot = Some((mapped.to_bf16_vec(), PreparedTensor::from_mapped(mapped)));
+                    layer.push(PreparedTensor::from_mapped(mapped));
                 }
-                let [qkv, o, up, down] = tensors.map(|t| t.expect("all four slots filled"));
-                Ok(LayerWeights {
-                    wqkv: qkv.0,
-                    wo: o.0,
-                    w1: up.0,
-                    w2: down.0,
-                    prepared: [qkv.1, o.1, up.1, down.1],
-                })
+                Ok(layer.try_into().expect("four weights per layer"))
             })
             .collect::<Result<Vec<_>, ArchiveError>>()?;
         Ok(TinyTransformer { config, layers })
@@ -321,8 +309,7 @@ impl TinyTransformer {
                 &mut trace,
                 &mut scratch,
                 &normed,
-                &lw.wqkv,
-                &lw.prepared[0],
+                &lw[0],
                 c.seq,
                 c.hidden,
                 3 * c.hidden,
@@ -362,8 +349,7 @@ impl TinyTransformer {
                 &mut trace,
                 &mut scratch,
                 &ctx,
-                &lw.wo,
-                &lw.prepared[1],
+                &lw[1],
                 c.seq,
                 c.hidden,
                 c.hidden,
@@ -378,8 +364,7 @@ impl TinyTransformer {
                 &mut trace,
                 &mut scratch,
                 &normed,
-                &lw.w1,
-                &lw.prepared[2],
+                &lw[2],
                 c.seq,
                 c.hidden,
                 c.ffn,
@@ -390,8 +375,7 @@ impl TinyTransformer {
                 &mut trace,
                 &mut scratch,
                 &act,
-                &lw.w2,
-                &lw.prepared[3],
+                &lw[3],
                 c.seq,
                 c.ffn,
                 c.hidden,
@@ -425,7 +409,8 @@ impl TinyTransformer {
     /// panel-tiled) form and the activation side rounds/encodes/decodes
     /// through the caller's reused scratch buffers — no per-call BF16
     /// tensor is ever materialised. The reference engines round with the
-    /// identical `Bf16::from_f32` conversion, so every engine's GEMM sees
+    /// identical `Bf16::from_f32` conversion and read the weight's BF16
+    /// values back out of its lossless planes, so every engine's GEMM sees
     /// the same BF16 inputs and the bit-identity contract of [`Self::run`]
     /// is unchanged.
     #[allow(clippy::too_many_arguments)]
@@ -435,7 +420,6 @@ impl TinyTransformer {
         trace: &mut ForwardTrace,
         scratch: &mut GemmScratch,
         a: &[f32],
-        b: &[Bf16],
         prepared: &PreparedTensor,
         m: usize,
         k: usize,
@@ -443,7 +427,7 @@ impl TinyTransformer {
     ) -> Result<Vec<f32>, ArithError> {
         let out = match engine {
             GemmEngine::Owlp => owlp_gemm_prepared_f32_with(a, prepared, m, k, n, scratch)?.output,
-            _ => engine.gemm(&to_bf16(a), b, m, k, n)?,
+            _ => engine.gemm(&to_bf16(a), &prepared.packed().to_bf16_vec(), m, k, n)?,
         };
         trace.gemm_outputs.push(out.clone());
         Ok(out)
@@ -680,6 +664,20 @@ mod tests {
         let mut deeper = cfg;
         deeper.layers += 1;
         assert!(TinyTransformer::from_archive(deeper, &path).is_err());
+        // Head counts `new` rejects: `forward` would divide by zero, or
+        // attend over only `heads·⌊hidden/heads⌋` columns.
+        for (heads, covered) in [(0, 0), (5, 30)] {
+            let split = TinyConfig { heads, ..cfg };
+            let err = TinyTransformer::from_archive(split, &path).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    ArchiveError::Format(FormatError::ShapeMismatch { expected, actual })
+                        if expected == cfg.hidden && actual == covered
+                ),
+                "heads {heads}: {err:?}"
+            );
+        }
         std::fs::remove_file(&path).ok();
     }
 }

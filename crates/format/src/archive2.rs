@@ -1,10 +1,12 @@
-//! Archive v2 — the zero-copy mmap weight container.
+//! Archive v2 — the zero-copy mmap weight container, and the one weight
+//! archive format of the workspace.
 //!
-//! The v1 [`crate::archive::ModelArchive`] ships the *encoded* streams:
-//! loading it means bias-decoding every tensor and re-packing weight
-//! panels — exactly the work a cold serving start pays per tensor.
-//! Archive v2 stores each tensor's planes **exactly as the kernels
-//! consume them**, so a load is pointer arithmetic over an mmapped file:
+//! Shipping the *encoded* streams (the paper's Fig. 5 memory map,
+//! [`crate::chunk::PackedTensor`]) would make every load bias-decode each
+//! tensor and re-pack its weight panels — exactly the work a cold serving
+//! start pays per tensor. Archive v2 stores each tensor's planes
+//! **exactly as the kernels consume them**, so a load is pointer
+//! arithmetic over an mmapped file:
 //!
 //! * the [`crate::PackedOperands`] planes — `mag` (`u16` LE), `meta`
 //!   (`u8`), the pre-shifted folded-significand `sval` (`i16` LE) — each
@@ -1157,14 +1159,22 @@ mod tests {
     fn roundtrip_is_bit_identical_to_the_in_memory_path() {
         let path = temp_path("roundtrip");
         // Shapes with panel edge (NR ∤ n), tile remainders, several chunks
-        // under a tiny budget.
-        let shapes = [("a", 13usize, 11usize), ("b", 64, 32), ("c", 7, 130)];
-        let summary = write_archive(&path, 16 << 10, &shapes);
-        assert_eq!(summary.tensors, 3);
+        // under a tiny budget; then every finite BF16 pattern as a 255×256
+        // tensor (`Bf16` equality compares bits, so −0 and subnormals
+        // count).
+        let mut tensors: Vec<(&str, usize, usize, Vec<Bf16>)> =
+            [("a", 13usize, 11usize), ("b", 64, 32), ("c", 7, 130)]
+                .map(|(name, k, n)| (name, k, n, mixed(k * n)))
+                .into();
+        tensors.push(("finite", 255, 256, crate::bf16::all_finite().collect()));
+        let mut w = ArchiveWriter::with_budget(&path, 16 << 10).unwrap();
+        for (name, k, n, data) in &tensors {
+            w.add_tensor_slice(name, *k, *n, data).unwrap();
+        }
+        assert_eq!(w.finish().unwrap().tensors, 4);
         let ar = MappedArchive::open(&path).unwrap();
-        assert_eq!(ar.len(), 3);
-        for &(name, k, n) in &shapes {
-            let data = mixed(k * n);
+        assert_eq!(ar.len(), 4);
+        for (name, k, n, data) in tensors {
             let enc = encode_tensor(&data, None).unwrap();
             let expect = enc.decode_packed();
             let t = ar.tensor(name).unwrap();

@@ -41,7 +41,6 @@
 //! [bfloat16]: https://en.wikipedia.org/wiki/Bfloat16_floating-point_format
 
 pub mod aligned;
-pub mod archive;
 pub mod archive2;
 pub mod bands;
 pub mod bf16;
@@ -62,7 +61,6 @@ pub mod stats;
 pub mod stream;
 pub mod value;
 
-pub use archive::ModelArchive;
 pub use archive2::{
     stream_budget_from_env, ArchiveError, ArchiveSummary, ArchiveWriter, MappedArchive,
     MappedTensor, VerifyReport,

@@ -789,6 +789,7 @@ mod tests {
     use super::*;
     use crate::bf16::Bf16;
     use crate::encode::encode_tensor;
+    use crate::simd::{available_tiers, with_tier};
 
     fn bf(x: f32) -> Bf16 {
         Bf16::from_f32(x)
@@ -1041,15 +1042,23 @@ mod tests {
 
     #[test]
     fn to_bf16_vec_inverts_the_whole_pipeline() {
-        let data = mixed(3 * PACK_GRAIN + 7);
-        let enc = encode_tensor(&data, None).unwrap();
-        let packed = enc.decode_packed();
-        let serial = owlp_par::with_threads(1, || packed.to_bf16_vec());
-        assert_eq!(serial, data, "lossless reconstruction");
-        for t in [2, 4] {
-            assert_eq!(owlp_par::with_threads(t, || packed.to_bf16_vec()), serial);
+        // Every finite BF16 pattern as a 255×256 tensor, beside a mixed
+        // tensor spanning several parallel chunks. `Bf16` equality
+        // compares bits, so −0 and subnormals count.
+        let finite: Vec<Bf16> = crate::bf16::all_finite().collect();
+        assert_eq!(finite.len(), 255 * 256);
+        for data in [mixed(3 * PACK_GRAIN + 7), finite] {
+            for &tier in available_tiers() {
+                let packed =
+                    with_tier(tier, || encode_tensor(&data, None).unwrap().decode_packed());
+                let serial = owlp_par::with_threads(1, || packed.to_bf16_vec());
+                assert_eq!(serial, data, "lossless reconstruction on {tier}");
+                for t in [2, 4] {
+                    assert_eq!(owlp_par::with_threads(t, || packed.to_bf16_vec()), serial);
+                }
+                assert_eq!(packed.to_bf16_range(5..12), data[5..12]);
+            }
         }
-        assert_eq!(packed.to_bf16_range(5..12), data[5..12]);
     }
 
     #[test]

@@ -1,6 +1,9 @@
-//! Whole-model compression: build a packed [`ModelArchive`] of a model's
-//! weight tensors from its calibrated profiles — the artefact a deployment
-//! would ship to the accelerator's off-chip memory (paper §IV-D).
+//! Whole-model compression: pack a model's weight tensors, drawn from its
+//! calibrated profiles, into the paper's Fig. 5 memory map
+//! ([`PackedTensor`]), chunk after chunk as a deployment would lay them
+//! out in the accelerator's off-chip memory (paper §IV-D). This measures
+//! the paper's footprint; the file format that serves weights is
+//! archive v2 (`owlp_format::archive2`).
 //!
 //! Full-size LLM tensors would make tests and examples slow, so the
 //! builder takes a `scale` divisor applied to every dimension; compression
@@ -12,7 +15,7 @@ use crate::layers::OpKind;
 use crate::profiles::{profile_for, Dataset, TensorRole};
 use crate::tensorgen::TensorGen;
 use owlp_format::chunk::{ChunkMeta, PackedTensor};
-use owlp_format::{encode_tensor, FormatError, ModelArchive};
+use owlp_format::{encode_tensor, FormatError};
 
 /// Weight matrices of one transformer layer, with their shapes.
 fn layer_tensors(model: ModelId) -> Vec<(OpKind, &'static str, usize, usize)> {
@@ -29,8 +32,10 @@ fn layer_tensors(model: ModelId) -> Vec<(OpKind, &'static str, usize, usize)> {
     v
 }
 
-/// Builds the compressed weight archive of `model` at `1/scale` linear
-/// dimensions.
+/// Packs every weight tensor of `model` at `1/scale` linear dimensions,
+/// in layer order, each named `layer{l}.{qkv,out_proj,ffn_up,ffn_down}`
+/// (plus `ffn_gate` on gated decoders). Each chunk's start address is the
+/// footprint of the chunks before it, so the chunks lie back to back.
 ///
 /// # Errors
 ///
@@ -45,10 +50,11 @@ pub fn pack_model(
     dataset: Dataset,
     seed: u64,
     scale: usize,
-) -> Result<ModelArchive, FormatError> {
+) -> Result<Vec<(String, PackedTensor)>, FormatError> {
     assert!(scale > 0, "scale must be positive");
     let layers = model.config().layers;
-    let mut archive = ModelArchive::new();
+    let mut tensors = Vec::new();
+    let mut start_addr = 0u64;
     for layer in 0..layers {
         for (kind, name, rows, cols) in layer_tensors(model) {
             let r = (rows / scale).max(1);
@@ -59,41 +65,49 @@ pub fn pack_model(
             let packed = PackedTensor::pack(
                 &enc,
                 ChunkMeta {
-                    start_addr: archive.payload_bytes() as u32,
+                    start_addr: start_addr as u32,
                     layer_info: layer as u32,
                 },
             )?;
-            archive.insert(format!("layer{layer}.{name}"), packed);
+            start_addr += packed.total_bytes();
+            tensors.push((format!("layer{layer}.{name}"), packed));
         }
     }
-    Ok(archive)
+    Ok(tensors)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn names(tensors: &[(String, PackedTensor)]) -> Vec<&str> {
+        tensors.iter().map(|(n, _)| n.as_str()).collect()
+    }
+
     #[test]
     fn packs_every_layer_tensor() {
         let a = pack_model(ModelId::Gpt2Base, Dataset::WikiText2, 3, 16).unwrap();
         let c = ModelId::Gpt2Base.config();
-        assert_eq!(a.len(), c.layers * 4);
-        assert!(a.get("layer0.qkv").is_some());
-        assert!(a.get("layer11.ffn_down").is_some());
-        assert!(a.get("layer12.qkv").is_none());
+        let names = names(&a);
+        assert_eq!(names.len(), c.layers * 4);
+        assert_eq!(names.first(), Some(&"layer0.qkv"));
+        assert_eq!(names.last(), Some(&"layer11.ffn_down"));
+        assert!(!names.contains(&"layer12.qkv"));
     }
 
     #[test]
     fn gated_models_have_five_tensors_per_layer() {
         let a = pack_model(ModelId::Llama2_7b, Dataset::WikiText2, 3, 64).unwrap();
         assert_eq!(a.len(), ModelId::Llama2_7b.config().layers * 5);
-        assert!(a.get("layer0.ffn_gate").is_some());
+        assert!(names(&a).contains(&"layer0.ffn_gate"));
     }
 
     #[test]
     fn archive_compression_matches_the_format_claim() {
         let a = pack_model(ModelId::Gpt2Base, Dataset::WikiText2, 9, 8).unwrap();
-        let r = a.compression_ratio();
+        let raw: u64 = a.iter().map(|(_, t)| 2 * t.elements() as u64).sum();
+        let packed: u64 = a.iter().map(|(_, t)| t.total_bytes()).sum();
+        let r = raw as f64 / packed as f64;
         // ≈ 16 bits → ~11.7 bits/value: ratio ≈ 1.36.
         assert!((1.30..=1.42).contains(&r), "{r}");
     }
@@ -101,10 +115,23 @@ mod tests {
     #[test]
     fn archive_roundtrips_through_bytes() {
         let a = pack_model(ModelId::BertBase, Dataset::Squad2, 5, 32).unwrap();
-        let back = ModelArchive::from_bytes(&a.to_bytes()).unwrap();
-        assert_eq!(back, a);
-        // A sampled tensor decodes losslessly.
-        let t = back.get("layer3.ffn_up").unwrap();
-        assert_eq!(t.unpack().unwrap().to_bf16_vec().len(), t.elements());
+        // The chunks lie back to back from address 0.
+        let mut next = 0u64;
+        for (name, t) in &a {
+            assert_eq!(u64::from(t.meta().start_addr), next, "{name}");
+            next += t.total_bytes();
+        }
+        // A sampled tensor decodes to the values `pack_model` drew.
+        let (_, t) = a.iter().find(|(n, _)| n == "layer3.ffn_up").unwrap();
+        let c = ModelId::BertBase.config();
+        let p = profile_for(
+            ModelId::BertBase,
+            OpKind::FfnUp,
+            TensorRole::Weight,
+            Dataset::Squad2,
+        );
+        let values = TensorGen::new(p, c.hidden / 32, c.ffn_dim / 32)
+            .values(5 ^ 3 << 8 ^ OpKind::FfnUp as u64);
+        assert_eq!(t.unpack().unwrap().to_bf16_vec(), values);
     }
 }
