@@ -1,5 +1,4 @@
-//! Criterion: model cold start — eager decode vs zero-copy archive mmap,
-//! plus the bounded-memory streaming encode that produces the archive.
+//! Criterion: model cold start — eager decode vs zero-copy archive mmap.
 //!
 //! The mmap path is the tentpole claim of the archive-v2 layout: opening
 //! the file and adopting every plane must be O(index), independent of
@@ -86,24 +85,6 @@ fn bench_model_load(c: &mut Criterion) {
     });
     group.finish();
     std::fs::remove_file(&path).ok();
-
-    // Streaming encode under a budget far below the largest tensor's
-    // plane bytes, forcing many row-aligned chunks.
-    let mut group = c.benchmark_group("streaming_encode");
-    group.sample_size(20);
-    group.warm_up_time(std::time::Duration::from_millis(500));
-    group.measurement_time(std::time::Duration::from_secs(2));
-    group.throughput(Throughput::Bytes(weight_bytes));
-    group.bench_function("budget_8k", |b| {
-        let out = temp_path("stream");
-        b.iter(|| {
-            let s = m.save_archive_with_budget(&out, 8 << 10).unwrap();
-            assert!(s.peak_alloc <= s.budget);
-            s.file_len
-        });
-        std::fs::remove_file(&out).ok();
-    });
-    group.finish();
 
     // Sanity tie-back to the offline summary: the mmap cases above load
     // exactly what the pack step wrote.

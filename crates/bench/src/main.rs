@@ -20,22 +20,20 @@
 //! Plus two non-paper maintenance commands:
 //!
 //! ```text
-//! repro pack [--out PATH] [--budget BYTES] [--verify]
+//! repro pack [--out PATH] [--verify]
 //! repro features [--archive PATH]
 //! ```
 //!
-//! `pack` streaming-encodes the deterministic smoke model's weights into
-//! an archive-v2 file under the `OWLP_STREAM_BUDGET` byte budget (or
-//! `--budget`, accepting K/M/G suffixes); `--verify` maps the archive
-//! back, checks every plane digest, and re-runs the transformer forward
-//! pass off the mapped planes bit-for-bit against the exact engine — the
-//! CI serving-cold-start gate.
+//! `pack` writes the deterministic smoke model's weight planes into an
+//! archive-v2 file; `--verify` maps the archive back, checks every plane
+//! digest, and re-runs the transformer forward pass off the mapped planes
+//! bit-for-bit against the exact engine — the CI serving-cold-start gate.
 //!
 //! `features` prints the detected CPU features, the kernel tier each
-//! microkernel entry point dispatches to, and the effective
-//! `OWLP_SIMD` / `OWLP_THREADS` / `OWLP_STREAM_BUDGET` overrides; with
-//! `--archive PATH` it also scrubs that archive-v2 file (whole-plane and
-//! per-tile CRC32C digests) and reports what it verified.
+//! microkernel entry point dispatches to, and the effective `OWLP_SIMD` /
+//! `OWLP_THREADS` overrides; with `--archive PATH` it also scrubs that
+//! archive-v2 file (whole-plane and per-tile CRC32C digests) and reports
+//! what it verified.
 //!
 //! `repro serve-faults --json PATH` writes the fault sweep as JSON to
 //! `PATH` and exits nonzero when the integrity gate fails (an SDC escaped
@@ -115,10 +113,9 @@ const EXPERIMENTS: [(&str, Experiment); 18] = [
     ("dse", |_| output(dse_exp::run(), dse_exp::render)),
 ];
 
-/// `repro pack [--out PATH] [--budget BYTES] [--verify]` — the offline
-/// half of the serving cold start: streaming-encode the deterministic
-/// smoke model's weights into an archive-v2 file under a bounded
-/// transient-memory budget. With `--verify`, map the archive back, check
+/// `repro pack [--out PATH] [--verify]` — the offline half of the serving
+/// cold start: write the deterministic smoke model's weight planes into an
+/// archive-v2 file. With `--verify`, map the archive back, check
 /// every plane digest, serve a GEMM off the mapped planes, and re-run the
 /// transformer forward pass bit-for-bit against the exact engine.
 fn run_pack(args: &[String]) {
@@ -131,24 +128,10 @@ fn run_pack(args: &[String]) {
         .and_then(|i| args.get(i + 1))
         .map_or("model.owl2", String::as_str);
     let verify = args.iter().any(|a| a == "--verify");
-    let budget = match args
-        .iter()
-        .position(|a| a == "--budget")
-        .and_then(|i| args.get(i + 1))
-    {
-        Some(s) => match owlp_format::archive2::parse_stream_budget(s) {
-            Some(b) => b,
-            None => {
-                eprintln!("error: --budget {s:?} is not a byte count (K/M/G suffixes accepted)");
-                std::process::exit(2);
-            }
-        },
-        None => owlp_format::stream_budget_from_env(),
-    };
 
     let cfg = TinyConfig::small();
     let model = TinyTransformer::new(cfg, ModelId::Gpt2Base, SEED);
-    let summary = match model.save_archive_with_budget(std::path::Path::new(out), budget) {
+    let summary = match model.save_archive(std::path::Path::new(out)) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("error: cannot pack {out}: {e}");
@@ -156,20 +139,12 @@ fn run_pack(args: &[String]) {
         }
     };
     println!(
-        "packed {} tensor{} into {out}: {} bytes, stream budget {} bytes, peak {} bytes",
+        "packed {} tensor{} into {out}: {} bytes, peak {} bytes",
         summary.tensors,
         if summary.tensors == 1 { "" } else { "s" },
         summary.file_len,
-        summary.budget,
         summary.peak_alloc
     );
-    if summary.peak_alloc > summary.budget {
-        eprintln!(
-            "error: streaming encode peaked at {} bytes over its {}-byte budget",
-            summary.peak_alloc, summary.budget
-        );
-        std::process::exit(1);
-    }
     if !verify {
         return;
     }
@@ -279,15 +254,6 @@ fn run_features(args: &[String]) {
         env_of(owlp_par::ENV_THREADS)
     );
     println!("threads      : {}", owlp_par::thread_budget());
-    println!(
-        "{:<13}: {}",
-        owlp_format::archive2::STREAM_BUDGET_ENV,
-        env_of(owlp_format::archive2::STREAM_BUDGET_ENV)
-    );
-    println!(
-        "stream budget: {} bytes",
-        owlp_format::stream_budget_from_env()
-    );
     if let Some(path) = args
         .iter()
         .position(|a| a == "--archive")
@@ -377,7 +343,7 @@ fn main() {
         None | Some("all") => EXPERIMENTS.to_vec(),
         Some("--help") | Some("-h") => {
             eprintln!(
-                "usage: repro [all|{}] [--json] [--smoke]\n       repro pack [--out PATH] [--budget BYTES] [--verify]\n       repro features [--archive PATH]\n       repro serve-faults --json PATH",
+                "usage: repro [all|{}] [--json] [--smoke]\n       repro pack [--out PATH] [--verify]\n       repro features [--archive PATH]\n       repro serve-faults --json PATH",
                 names()
             );
             return;

@@ -180,50 +180,34 @@ impl TinyTransformer {
         self.config
     }
 
-    /// Packs every weight tensor into an archive-v2 file at `path` —
-    /// planes, sorted outlier tables, and microkernel panels laid out
-    /// exactly as the GEMM consumes them, re-encoded chunk by chunk from
-    /// the values its prepared planes give back — under the
-    /// `OWLP_STREAM_BUDGET` streaming-encode byte budget. The offline
-    /// half of the serving cold start: [`TinyTransformer::from_archive`]
-    /// maps the result back with zero decode or re-pack work.
+    /// Writes every weight into an archive-v2 file at `path`: each
+    /// weight's own planes, sorted outlier tables and microkernel panels,
+    /// laid out exactly as the GEMM consumes them (a loaded weight whose
+    /// archive carried no panels has them packed first). The offline half
+    /// of the serving cold start: [`TinyTransformer::from_archive`] maps
+    /// the result back with zero decode or re-pack work.
     ///
     /// # Errors
     ///
-    /// I/O failures and encode errors ([`ArchiveError`]).
+    /// I/O failures ([`ArchiveError`]).
     pub fn save_archive(&self, path: &Path) -> Result<ArchiveSummary, ArchiveError> {
         let mut writer = ArchiveWriter::create(path)?;
-        self.write_tensors(&mut writer)?;
-        writer.finish()
-    }
-
-    /// [`TinyTransformer::save_archive`] with an explicit streaming-encode
-    /// byte budget instead of the environment default.
-    ///
-    /// # Errors
-    ///
-    /// As [`TinyTransformer::save_archive`].
-    pub fn save_archive_with_budget(
-        &self,
-        path: &Path,
-        budget: usize,
-    ) -> Result<ArchiveSummary, ArchiveError> {
-        let mut writer = ArchiveWriter::with_budget(path, budget)?;
-        self.write_tensors(&mut writer)?;
-        writer.finish()
-    }
-
-    fn write_tensors(&self, writer: &mut ArchiveWriter) -> Result<(), ArchiveError> {
         let shapes = self.config.weight_shapes();
         for (l, layer) in self.layers.iter().enumerate() {
             for (t, (&(k, n), prepared)) in shapes.iter().zip(layer).enumerate() {
-                let planes = prepared.packed();
-                writer.add_tensor(&tensor_name(l, t), k, n, |r, out| {
-                    *out = planes.to_bf16_range(r);
-                })?;
+                let packed = prepared.packed();
+                let repacked;
+                let panels = match prepared.panels() {
+                    Some(panels) => panels,
+                    None => {
+                        repacked = packed.pack_panels(k, n);
+                        &repacked
+                    }
+                };
+                writer.add_planes(&tensor_name(l, t), k, n, packed, panels)?;
             }
         }
-        Ok(())
+        writer.finish()
     }
 
     /// Rebuilds a transformer from a packed archive, borrowing every
@@ -635,12 +619,29 @@ mod tests {
         let cfg = TinyConfig::small();
         let model = TinyTransformer::new(cfg, ModelId::Gpt2Base, 11);
         let path = temp_path("roundtrip");
-        // A tiny budget forces many streaming chunks per tensor.
-        model.save_archive_with_budget(&path, 8 << 10).unwrap();
+        model.save_archive(&path).unwrap();
         let loaded = TinyTransformer::from_archive(cfg, &path).unwrap();
         // Mapped planes compare by contents, so equality covers every
         // weight value, packed plane, and memoised panel.
         assert_eq!(model, loaded);
+        // The bytes depend only on the weights: saving the mapped planes
+        // again, or re-encoding the weight values, writes the same file.
+        let first = std::fs::read(&path).unwrap();
+        let again = temp_path("roundtrip-again");
+        loaded.save_archive(&again).unwrap();
+        assert!(std::fs::read(&again).unwrap() == first, "mapped planes");
+        let mut w = ArchiveWriter::create(&again).unwrap();
+        let shapes = cfg.weight_shapes();
+        for (l, layer) in model.layers.iter().enumerate() {
+            for (t, (&(k, n), prepared)) in shapes.iter().zip(layer).enumerate() {
+                let values = prepared.packed().to_bf16_vec();
+                w.add_tensor_slice(&tensor_name(l, t), k, n, &values)
+                    .unwrap();
+            }
+        }
+        w.finish().unwrap();
+        assert!(std::fs::read(&again).unwrap() == first, "weight values");
+        std::fs::remove_file(&again).ok();
         let x = input(cfg, 12);
         let a = model.forward(&x, GemmEngine::Owlp).unwrap();
         let b = loaded.forward(&x, GemmEngine::Owlp).unwrap();
@@ -657,7 +658,7 @@ mod tests {
         let cfg = TinyConfig::small();
         let model = TinyTransformer::new(cfg, ModelId::Gpt2Base, 13);
         let path = temp_path("mismatch");
-        model.save_archive_with_budget(&path, 64 << 10).unwrap();
+        model.save_archive(&path).unwrap();
         let mut wider = cfg;
         wider.ffn *= 2;
         assert!(TinyTransformer::from_archive(wider, &path).is_err());

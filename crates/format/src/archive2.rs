@@ -38,33 +38,28 @@
 //!          | tensor_count u32 | index_crc u32 | "2LWO"          (36 B)
 //! ```
 //!
-//! All integers are little-endian. The footer sits at the end so the
-//! writer streams strictly forward apart from the panel scatter writes.
+//! All integers are little-endian.
 //!
-//! ## Bounded-memory streaming
+//! ## Writing
 //!
-//! [`ArchiveWriter`] never materialises a whole tensor: it encodes
-//! row-aligned chunks sized from a byte budget (`OWLP_STREAM_BUDGET`,
-//! default 256 MiB), writes each chunk's plane slices at their
-//! precomputed offsets, scatter-writes the panel stripes, and carries
-//! only the (sparse) outlier tables and the streaming CRC state across
-//! chunks. Chunked encoding against the tensor-wide exponent window is
-//! bit-identical to whole-tensor encoding, which the round-trip tests
-//! pin down. An [`AllocMeter`] tracks the transient working set so the
-//! bench layer can gate on budget conformance.
+//! [`ArchiveWriter::add_planes`] appends the planes a weight already
+//! holds — its [`crate::PackedOperands`] and [`crate::PackedPanels`] — in
+//! the order above, strictly forward, digesting each plane and tile from
+//! memory; [`ArchiveWriter::add_tensor_slice`] first encodes, decodes and
+//! panel-packs a BF16 tensor. Either way the bytes depend only on the
+//! weight's values, which the tests pin across entry points, SIMD tiers
+//! and thread counts.
 
 use crate::bf16::Bf16;
-use crate::crc::{crc32c_bytes, Crc32cHasher, SVAL_TILE};
+use crate::crc::{crc32c_bytes, SVAL_TILE};
+use crate::encode::encode_tensor;
 use crate::error::FormatError;
 use crate::mmap::MappedFile;
-use crate::packed::{PackedOperands, PackedPanels, PANEL_K_PAD, PANEL_NR};
+use crate::packed::{PackedOperands, PackedPanels};
 use crate::plane::{Plane, SvalPlane};
-use crate::shared_exp::{best_window, exponent_counts};
-use crate::NORMAL_WINDOW_WIDTH;
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
-use std::io::{self, Read, Seek, SeekFrom, Write};
-use std::ops::Range;
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -77,20 +72,9 @@ pub const ARCHIVE2_FOOTER_MAGIC: &[u8; 4] = b"2LWO";
 pub const ARCHIVE2_VERSION: u32 = 2;
 /// Every plane starts at a multiple of this file offset.
 pub const PLANE_ALIGN: u64 = 64;
-/// Environment variable naming the streaming byte budget; accepts a
-/// plain byte count or a `K`/`M`/`G` suffix (e.g. `64M`).
-pub const STREAM_BUDGET_ENV: &str = "OWLP_STREAM_BUDGET";
-/// Streaming budget when [`STREAM_BUDGET_ENV`] is unset: 256 MiB.
-pub const DEFAULT_STREAM_BUDGET: usize = 256 << 20;
 
 const HEADER_LEN: u64 = 16;
 const FOOTER_LEN: usize = 36;
-/// Conservative transient bytes per element the chunk sizing divides the
-/// budget by (bf16 source + encoded codes + packed planes + LE staging +
-/// panel stripes + parallel-decode temporaries).
-const CHUNK_BYTES_PER_ELEM: usize = 24;
-/// Metered transient estimate per chunk element actually charged.
-const CHARGE_BYTES_PER_ELEM: usize = 20;
 
 /// Errors from the archive v2 writer and loader.
 #[derive(Debug)]
@@ -150,93 +134,6 @@ impl From<FormatError> for ArchiveError {
     }
 }
 
-/// Parses a byte budget with an optional `K`/`M`/`G` (binary) suffix.
-pub fn parse_stream_budget(s: &str) -> Option<usize> {
-    let t = s.trim();
-    let (digits, shift) = match t.as_bytes().last()? {
-        b'k' | b'K' => (&t[..t.len() - 1], 10u32),
-        b'm' | b'M' => (&t[..t.len() - 1], 20),
-        b'g' | b'G' => (&t[..t.len() - 1], 30),
-        _ => (t, 0),
-    };
-    let v: usize = digits.trim().parse().ok()?;
-    Some(v.checked_shl(shift).unwrap_or(usize::MAX))
-}
-
-/// The streaming budget from [`STREAM_BUDGET_ENV`], or
-/// [`DEFAULT_STREAM_BUDGET`] when unset or unparseable.
-pub fn stream_budget_from_env() -> usize {
-    std::env::var(STREAM_BUDGET_ENV)
-        .ok()
-        .and_then(|s| parse_stream_budget(&s))
-        .unwrap_or(DEFAULT_STREAM_BUDGET)
-}
-
-/// Tracks the writer's transient working set (current and peak bytes) so
-/// budget conformance is measurable, not assumed.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct AllocMeter {
-    cur: usize,
-    peak: usize,
-}
-
-impl AllocMeter {
-    fn charge(&mut self, bytes: usize) {
-        self.cur += bytes;
-        self.peak = self.peak.max(self.cur);
-    }
-
-    fn release(&mut self, bytes: usize) {
-        self.cur = self.cur.saturating_sub(bytes);
-    }
-
-    /// Peak transient bytes observed.
-    pub fn peak(&self) -> usize {
-        self.peak
-    }
-}
-
-/// Streams plane bytes and closes a CRC tile every [`SVAL_TILE`] words
-/// (512 bytes), the granule `owlp-integrity` localises faults at.
-struct TileDigester {
-    filled: usize,
-    cur: Crc32cHasher,
-    tiles: Vec<u32>,
-}
-
-impl TileDigester {
-    fn new() -> Self {
-        TileDigester {
-            filled: 0,
-            cur: Crc32cHasher::new(),
-            tiles: Vec::new(),
-        }
-    }
-
-    fn update(&mut self, mut bytes: &[u8]) {
-        let tile_bytes = SVAL_TILE * 2;
-        while !bytes.is_empty() {
-            let take = (tile_bytes - self.filled).min(bytes.len());
-            let (head, rest) = bytes.split_at(take);
-            self.cur.update(head);
-            self.filled += take;
-            if self.filled == tile_bytes {
-                self.tiles.push(self.cur.finalize());
-                self.cur = Crc32cHasher::new();
-                self.filled = 0;
-            }
-            bytes = rest;
-        }
-    }
-
-    fn finish(mut self) -> Vec<u32> {
-        if self.filled > 0 {
-            self.tiles.push(self.cur.finalize());
-        }
-        self.tiles
-    }
-}
-
 /// One plane's location and whole-plane digest in the index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlaneDesc {
@@ -277,20 +174,23 @@ fn align_up(off: u64) -> u64 {
     off.next_multiple_of(PLANE_ALIGN)
 }
 
-fn le_bytes_u16(words: &[u16], out: &mut Vec<u8>) {
+/// `words` as little-endian bytes, staged in `out`.
+fn le_bytes<'a, T: Copy, const W: usize>(
+    words: &[T],
+    to_le: fn(T) -> [u8; W],
+    out: &'a mut Vec<u8>,
+) -> &'a [u8] {
     out.clear();
-    out.reserve(words.len() * 2);
     for &w in words {
-        out.extend_from_slice(&w.to_le_bytes());
+        out.extend_from_slice(&to_le(w));
     }
+    out
 }
 
-fn le_bytes_i16(words: &[i16], out: &mut Vec<u8>) {
-    out.clear();
-    out.reserve(words.len() * 2);
-    for &w in words {
-        out.extend_from_slice(&w.to_le_bytes());
-    }
+/// CRC32C of each [`SVAL_TILE`]-word (512-byte) tile of a plane, the
+/// granule `owlp-integrity` localises faults at.
+fn tile_crcs(bytes: &[u8]) -> Vec<u32> {
+    bytes.chunks(SVAL_TILE * 2).map(crc32c_bytes).collect()
 }
 
 /// Summary the writer returns from [`ArchiveWriter::finish`].
@@ -300,14 +200,14 @@ pub struct ArchiveSummary {
     pub tensors: usize,
     /// Final file length in bytes.
     pub file_len: u64,
-    /// The streaming byte budget the writer sized its chunks from.
-    pub budget: usize,
-    /// Peak transient working-set bytes the writer observed.
+    /// The most bytes the writer allocated for one tensor: its staging
+    /// buffer, plus the planes and panels
+    /// [`ArchiveWriter::add_tensor_slice`] built (the planes
+    /// [`ArchiveWriter::add_planes`] writes belong to its caller).
     pub peak_alloc: usize,
 }
 
-/// Streaming archive v2 encoder: packs tensors of any size under a fixed
-/// transient-memory budget (see the module docs).
+/// Archive v2 writer: appends each tensor's planes (see the module docs).
 ///
 /// The archive is written to a unique sibling of the target path and
 /// renamed over it by [`ArchiveWriter::finish`], so a reader that has the
@@ -320,30 +220,21 @@ pub struct ArchiveWriter {
     path: PathBuf,
     /// The sibling being written; `None` once renamed onto `path`.
     staging: Option<PathBuf>,
+    /// Bytes written so far.
     cursor: u64,
     entries: Vec<TensorEntry>,
-    budget: usize,
-    meter: AllocMeter,
+    /// See [`ArchiveSummary::peak_alloc`].
+    peak_alloc: usize,
 }
 
 impl ArchiveWriter {
     /// Starts an archive that [`ArchiveWriter::finish`] will place at
-    /// `path` (replacing any file there), with the budget from
-    /// [`stream_budget_from_env`].
+    /// `path` (replacing any file there).
     ///
     /// # Errors
     ///
     /// Propagates file creation failures.
     pub fn create(path: &Path) -> Result<Self, ArchiveError> {
-        Self::with_budget(path, stream_budget_from_env())
-    }
-
-    /// [`ArchiveWriter::create`] with an explicit byte budget.
-    ///
-    /// # Errors
-    ///
-    /// Propagates file creation failures.
-    pub fn with_budget(path: &Path, budget: usize) -> Result<Self, ArchiveError> {
         let (file, staging) = create_staging(path)?;
         // Built before the first write so `Drop` cleans up on any error.
         let mut writer = ArchiveWriter {
@@ -352,8 +243,7 @@ impl ArchiveWriter {
             staging: Some(staging),
             cursor: HEADER_LEN,
             entries: Vec::new(),
-            budget: budget.max(1),
-            meter: AllocMeter::default(),
+            peak_alloc: 0,
         };
         let mut header = [0u8; HEADER_LEN as usize];
         header[..4].copy_from_slice(ARCHIVE2_MAGIC);
@@ -362,232 +252,47 @@ impl ArchiveWriter {
         Ok(writer)
     }
 
-    /// The streaming byte budget in effect.
-    pub fn budget(&self) -> usize {
-        self.budget
+    /// Appends `bytes` at the next [`PLANE_ALIGN`] boundary (zero-filling
+    /// the gap) and describes where they landed.
+    fn append(&mut self, bytes: &[u8]) -> io::Result<PlaneDesc> {
+        let offset = align_up(self.cursor);
+        self.file
+            .write_all(&[0; PLANE_ALIGN as usize][..(offset - self.cursor) as usize])?;
+        self.file.write_all(bytes)?;
+        self.cursor = offset + bytes.len() as u64;
+        Ok(PlaneDesc {
+            offset,
+            byte_len: bytes.len() as u64,
+            crc: crc32c_bytes(bytes),
+        })
     }
 
-    /// Peak transient working-set bytes observed so far.
-    pub fn peak_alloc(&self) -> usize {
-        self.meter.peak()
-    }
-
-    /// Rows per streaming chunk for an `n`-column tensor: the budget
-    /// divided by the per-element transient cost, floored at one row
-    /// (chunks must be row-aligned so panel stripes stay contiguous).
-    fn chunk_rows(&self, n: usize) -> usize {
-        let max_elems = (self.budget / CHUNK_BYTES_PER_ELEM).max(1);
-        (max_elems / n.max(1)).max(1)
-    }
-
-    fn write_at(&mut self, offset: u64, bytes: &[u8]) -> io::Result<()> {
-        self.file.seek(SeekFrom::Start(offset))?;
-        self.file.write_all(bytes)
-    }
-
-    /// Streams a `k×n` row-major tensor into the archive under `name`.
-    /// `fill(range, out)` must replace `out`'s contents with elements
-    /// `range` of the tensor; it is called with row-aligned, in-order,
-    /// non-overlapping ranges — twice per range (window pass, then
-    /// encode pass) — and must be deterministic.
+    /// Writes a `k×n` weight's planes under `name`: `packed` and its
+    /// panels, `packed.pack_panels(k, n)` or a mapped copy of them.
     ///
     /// # Errors
     ///
-    /// I/O failures, non-finite input ([`FormatError::NonFinite`]), a
-    /// duplicate name, or a tensor too large for 32-bit element
-    /// positions.
-    pub fn add_tensor(
+    /// I/O failures, [`FormatError::ShapeMismatch`] when `packed` does not
+    /// hold `k·n` values, or [`FormatError::CorruptStream`] for a
+    /// duplicate name or `panels` packed for another shape.
+    pub fn add_planes(
         &mut self,
         name: &str,
         k: usize,
         n: usize,
-        fill: impl Fn(Range<usize>, &mut Vec<Bf16>),
+        packed: &PackedOperands,
+        panels: &PackedPanels,
     ) -> Result<(), ArchiveError> {
-        if self.entries.iter().any(|e| e.name == name) {
-            return Err(FormatError::CorruptStream {
-                reason: "duplicate tensor name",
-            }
-            .into());
-        }
-        let elements = k * n;
-        if elements > u32::MAX as usize {
-            return Err(FormatError::CorruptStream {
-                reason: "packed tensor too large",
-            }
-            .into());
-        }
-        let chunk_elems = self.chunk_rows(n) * n;
-        let mut buf: Vec<Bf16> = Vec::new();
-        self.meter.charge(chunk_elems.min(elements.max(1)) * 2);
-
-        // Pass 1 — the tensor-wide exponent window, accumulated
-        // histogram-by-chunk (identical to `select_window` on the whole
-        // tensor: histogram addition is order-free).
-        let mut hist = [0u64; 256];
-        let mut start = 0usize;
-        while start < elements {
-            let end = (start + chunk_elems).min(elements);
-            fill(start..end, &mut buf);
-            let h = exponent_counts(&buf);
-            for (acc, c) in hist.iter_mut().zip(h) {
-                *acc += c;
-            }
-            start = end;
-        }
-        let window = best_window(&hist, NORMAL_WINDOW_WIDTH);
-
-        // Precomputed plane offsets (the outlier tables land after the
-        // fixed-size regions, at offsets known only once streamed).
-        let mag_off = align_up(self.cursor);
-        let meta_off = align_up(mag_off + 2 * elements as u64);
-        let sval_off = align_up(meta_off + elements as u64);
-        let kp = k.next_multiple_of(PANEL_K_PAD);
-        let panel_words = n.div_ceil(PANEL_NR).max(1) * kp * PANEL_NR;
-        let panels_off = align_up(sval_off + 2 * elements as u64);
-        let after_panels = panels_off + 2 * panel_words as u64;
-
-        // Pass 2 — encode, pack and scatter each row chunk.
-        let mut mag_hash = Crc32cHasher::new();
-        let mut meta_hash = Crc32cHasher::new();
-        let mut sval_hash = Crc32cHasher::new();
-        let mut sval_tiles = TileDigester::new();
-        let mut stored_outliers = 0usize;
-        let mut pos_acc: Vec<u32> = Vec::new();
-        let mut exp_acc: Vec<u8> = Vec::new();
-        let mut stage: Vec<u8> = Vec::new();
-        let mut stripe: Vec<u8> = Vec::new();
-        let mut start = 0usize;
-        while start < elements {
-            let end = (start + chunk_elems).min(elements);
-            let len = end - start;
-            self.meter.charge(len * CHARGE_BYTES_PER_ELEM);
-            fill(start..end, &mut buf);
-            let enc = crate::encode::encode_tensor(&buf, Some(window))?;
-            let packed = enc.decode_packed();
-            stored_outliers += enc.outlier_count();
-
-            le_bytes_u16(packed.mags(), &mut stage);
-            mag_hash.update(&stage);
-            self.write_at(mag_off + 2 * start as u64, &stage)?;
-            meta_hash.update(packed.metas());
-            self.write_at(meta_off + start as u64, packed.metas())?;
-            le_bytes_i16(packed.svals(), &mut stage);
-            sval_hash.update(&stage);
-            sval_tiles.update(&stage);
-            self.write_at(sval_off + 2 * start as u64, &stage)?;
-
-            // Panel stripes: rows r0..r1 of panel `pb` are contiguous at
-            // `panels_off + (pb·kp + r0)·NR·2` — one write per panel per
-            // chunk.
-            let (r0, rows) = (start / n.max(1), len / n.max(1));
-            let svals = packed.svals();
-            for pb in 0..n.div_ceil(PANEL_NR) {
-                let j0 = pb * PANEL_NR;
-                stripe.clear();
-                stripe.reserve(rows * PANEL_NR * 2);
-                for kk in 0..rows {
-                    for c in 0..PANEL_NR {
-                        let v = if j0 + c < n {
-                            svals[kk * n + j0 + c]
-                        } else {
-                            0
-                        };
-                        stripe.extend_from_slice(&v.to_le_bytes());
-                    }
-                }
-                self.write_at(
-                    panels_off + (pb * kp + r0) as u64 * PANEL_NR as u64 * 2,
-                    &stripe,
-                )?;
-            }
-
-            let before = pos_acc.len();
-            pos_acc.extend(packed.outlier_positions().iter().map(|&p| p + start as u32));
-            exp_acc.extend_from_slice(packed.outlier_exps());
-            self.meter.charge((pos_acc.len() - before) * 5);
-            self.meter.release(len * CHARGE_BYTES_PER_ELEM);
-            start = end;
-        }
-
-        // The panel region's zero padding (depths `k..kp`, edge columns)
-        // was never written: extend the file over it so the read-back
-        // digest and the mapped views see those zeros even when no later
-        // write lands past them.
-        let phys = self.file.seek(SeekFrom::End(0))?;
-        if phys < after_panels {
-            self.file.set_len(after_panels)?;
-        }
-
-        // Outlier side tables, streamed last.
-        let pos_off = align_up(after_panels);
-        le_bytes_u32(&pos_acc, &mut stage);
-        let pos_crc = crc32c_bytes(&stage);
-        let pos_len = stage.len() as u64;
-        self.write_at(pos_off, &stage)?;
-        let exp_off = align_up(pos_off + pos_len);
-        let exp_crc = crc32c_bytes(&exp_acc);
-        self.write_at(exp_off, &exp_acc)?;
-        self.cursor = exp_off + exp_acc.len() as u64;
-        self.meter.release(pos_acc.len() * 5);
-        self.meter.release(chunk_elems.min(elements.max(1)) * 2);
-
-        // The panel plane was scatter-written: digest it with a bounded
-        // read-back sweep (zero-fill holes — depths `k..kp` and edge
-        // columns — were never written and read back as zeros).
-        let (panel_crc, panel_tiles) = self.digest_region(panels_off, 2 * panel_words as u64)?;
-
-        self.entries.push(TensorEntry {
-            name: name.to_string(),
-            elements: elements as u64,
-            k: k as u64,
-            n: n as u64,
-            shared_exp: window.base(),
-            flags: FLAG_HAS_PANELS,
-            stored_outliers: stored_outliers as u64,
-            planes: [
-                PlaneDesc {
-                    offset: mag_off,
-                    byte_len: 2 * elements as u64,
-                    crc: mag_hash.finalize(),
-                },
-                PlaneDesc {
-                    offset: meta_off,
-                    byte_len: elements as u64,
-                    crc: meta_hash.finalize(),
-                },
-                PlaneDesc {
-                    offset: sval_off,
-                    byte_len: 2 * elements as u64,
-                    crc: sval_hash.finalize(),
-                },
-                PlaneDesc {
-                    offset: panels_off,
-                    byte_len: 2 * panel_words as u64,
-                    crc: panel_crc,
-                },
-                PlaneDesc {
-                    offset: pos_off,
-                    byte_len: pos_len,
-                    crc: pos_crc,
-                },
-                PlaneDesc {
-                    offset: exp_off,
-                    byte_len: exp_acc.len() as u64,
-                    crc: exp_crc,
-                },
-            ],
-            sval_tiles: sval_tiles.finish(),
-            panel_tiles,
-        });
-        Ok(())
+        self.write_planes(name, k, n, packed, panels, 0)
     }
 
-    /// [`ArchiveWriter::add_tensor`] over an in-memory slice.
+    /// Encodes a `k×n` row-major BF16 tensor and writes its planes and
+    /// panels under `name`, as [`ArchiveWriter::add_planes`] would.
     ///
     /// # Errors
     ///
-    /// As [`ArchiveWriter::add_tensor`]; additionally
-    /// [`FormatError::ShapeMismatch`] when `data` is not `k·n` long.
+    /// As [`ArchiveWriter::add_planes`]; additionally non-finite input
+    /// ([`FormatError::NonFinite`]).
     pub fn add_tensor_slice(
         &mut self,
         name: &str,
@@ -602,35 +307,75 @@ impl ArchiveWriter {
             }
             .into());
         }
-        self.add_tensor(name, k, n, |r, out| {
-            out.clear();
-            out.extend_from_slice(&data[r]);
-        })
+        let packed = encode_tensor(data, None)?.decode_packed();
+        let panels = packed.pack_panels(k, n);
+        // mag, meta and sval take 5 bytes a value; pos and exp 5 bytes a
+        // tagged outlier.
+        let built = 5 * (packed.len() + packed.tagged_count()) + 2 * panels.data().len();
+        self.write_planes(name, k, n, &packed, &panels, built)
     }
 
-    /// Whole-plane CRC plus per-tile CRCs of an already-written file
-    /// region, read back in budget-bounded sweeps.
-    fn digest_region(&mut self, offset: u64, byte_len: u64) -> io::Result<(u32, Vec<u32>)> {
-        let tile_bytes = SVAL_TILE * 2;
-        let sweep = (self.budget / 4)
-            .next_multiple_of(tile_bytes)
-            .min(byte_len as usize)
-            .max(tile_bytes);
-        let mut read_buf = vec![0u8; sweep.min(byte_len as usize).max(1)];
-        self.meter.charge(read_buf.len());
-        let mut whole = Crc32cHasher::new();
-        let mut tiles = TileDigester::new();
-        let mut done = 0u64;
-        self.file.seek(SeekFrom::Start(offset))?;
-        while done < byte_len {
-            let take = ((byte_len - done) as usize).min(read_buf.len());
-            self.file.read_exact(&mut read_buf[..take])?;
-            whole.update(&read_buf[..take]);
-            tiles.update(&read_buf[..take]);
-            done += take as u64;
+    /// [`ArchiveWriter::add_planes`], charging `built` bytes the caller
+    /// allocated for these planes to the peak alongside the staging
+    /// buffer.
+    fn write_planes(
+        &mut self,
+        name: &str,
+        k: usize,
+        n: usize,
+        packed: &PackedOperands,
+        panels: &PackedPanels,
+        built: usize,
+    ) -> Result<(), ArchiveError> {
+        if self.entries.iter().any(|e| e.name == name) {
+            return Err(FormatError::CorruptStream {
+                reason: "duplicate tensor name",
+            }
+            .into());
         }
-        self.meter.release(read_buf.len());
-        Ok((whole.finalize(), tiles.finish()))
+        if packed.len() != k * n {
+            return Err(FormatError::ShapeMismatch {
+                expected: k * n,
+                actual: packed.len(),
+            }
+            .into());
+        }
+        if (panels.k(), panels.n()) != (k, n) {
+            return Err(FormatError::CorruptStream {
+                reason: "panels packed for another shape",
+            }
+            .into());
+        }
+        let stage_len = (2 * packed.len())
+            .max(2 * panels.data().len())
+            .max(4 * packed.tagged_count());
+        let mut stage = Vec::with_capacity(stage_len);
+        let mag = self.append(le_bytes(packed.mags(), u16::to_le_bytes, &mut stage))?;
+        let meta = self.append(packed.metas())?;
+        let sval = self.append(le_bytes(packed.svals(), i16::to_le_bytes, &mut stage))?;
+        let sval_tiles = tile_crcs(&stage);
+        let panel = self.append(le_bytes(panels.data(), i16::to_le_bytes, &mut stage))?;
+        let panel_tiles = tile_crcs(&stage);
+        let pos = self.append(le_bytes(
+            packed.outlier_positions(),
+            u32::to_le_bytes,
+            &mut stage,
+        ))?;
+        let exp = self.append(packed.outlier_exps())?;
+        self.peak_alloc = self.peak_alloc.max(built + stage_len);
+        self.entries.push(TensorEntry {
+            name: name.to_string(),
+            elements: packed.len() as u64,
+            k: k as u64,
+            n: n as u64,
+            shared_exp: packed.shared_exp(),
+            flags: FLAG_HAS_PANELS,
+            stored_outliers: packed.stored_outlier_count() as u64,
+            planes: [mag, meta, sval, panel, pos, exp],
+            sval_tiles,
+            panel_tiles,
+        });
+        Ok(())
     }
 
     /// Writes the index and footer, syncs the file, and renames it onto
@@ -664,30 +409,25 @@ impl ArchiveWriter {
                 }
             }
         }
-        self.meter.charge(index.len());
-        let index_off = align_up(self.cursor);
-        self.write_at(index_off, &index)?;
-        let index_crc = crc32c_bytes(&index);
-        let file_len = index_off + index.len() as u64 + FOOTER_LEN as u64;
+        let index_desc = self.append(&index)?;
+        let file_len = self.cursor + FOOTER_LEN as u64;
         let mut footer = Vec::with_capacity(FOOTER_LEN);
-        footer.extend_from_slice(&index_off.to_le_bytes());
-        footer.extend_from_slice(&(index.len() as u64).to_le_bytes());
+        footer.extend_from_slice(&index_desc.offset.to_le_bytes());
+        footer.extend_from_slice(&index_desc.byte_len.to_le_bytes());
         footer.extend_from_slice(&file_len.to_le_bytes());
         footer.extend_from_slice(&(self.entries.len() as u32).to_le_bytes());
-        footer.extend_from_slice(&index_crc.to_le_bytes());
+        footer.extend_from_slice(&index_desc.crc.to_le_bytes());
         footer.extend_from_slice(ARCHIVE2_FOOTER_MAGIC);
-        self.write_at(index_off + index.len() as u64, &footer)?;
+        self.file.write_all(&footer)?;
         self.file.sync_all()?;
         if let Some(staging) = &self.staging {
             std::fs::rename(staging, &self.path)?;
         }
         self.staging = None;
-        self.meter.release(index.len());
         Ok(ArchiveSummary {
             tensors: self.entries.len(),
             file_len,
-            budget: self.budget,
-            peak_alloc: self.meter.peak(),
+            peak_alloc: self.peak_alloc,
         })
     }
 }
@@ -717,7 +457,6 @@ fn create_staging(path: &Path) -> io::Result<(File, PathBuf)> {
         ));
         let staging = path.with_file_name(staged);
         match OpenOptions::new()
-            .read(true)
             .write(true)
             .create_new(true)
             .open(&staging)
@@ -727,14 +466,6 @@ fn create_staging(path: &Path) -> io::Result<(File, PathBuf)> {
             Err(e) if e.kind() == io::ErrorKind::AlreadyExists => continue,
             Err(e) => return Err(e),
         }
-    }
-}
-
-fn le_bytes_u32(words: &[u32], out: &mut Vec<u8>) {
-    out.clear();
-    out.reserve(words.len() * 4);
-    for &w in words {
-        out.extend_from_slice(&w.to_le_bytes());
     }
 }
 
@@ -1041,8 +772,11 @@ fn parse_index(
     }
     let corrupt =
         |reason: &'static str| -> ArchiveError { FormatError::CorruptStream { reason }.into() };
+    // `count` and the tile counts are unverified until the loop's own
+    // bounds checks have read that many entries: nothing is reserved from
+    // them.
     let mut pos = 0usize;
-    let mut entries = Vec::with_capacity(count);
+    let mut entries = Vec::new();
     for _ in 0..count {
         let name_len =
             u16::from_le_bytes(take(index, &mut pos, 2)?.try_into().expect("2 bytes")) as usize;
@@ -1084,7 +818,6 @@ fn parse_index(
         for table in &mut tables {
             let tile_count =
                 u32::from_le_bytes(take(index, &mut pos, 4)?.try_into().expect("4 bytes")) as usize;
-            table.reserve(tile_count);
             for _ in 0..tile_count {
                 table.push(u32::from_le_bytes(
                     take(index, &mut pos, 4)?.try_into().expect("4 bytes"),
@@ -1114,7 +847,7 @@ fn parse_index(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::encode::encode_tensor;
+    use crate::simd::{available_tiers, with_tier, KernelTier};
 
     fn bf(x: f32) -> Bf16 {
         Bf16::from_f32(x)
@@ -1142,12 +875,19 @@ mod tests {
         p
     }
 
-    fn write_archive(
-        path: &Path,
-        budget: usize,
-        tensors: &[(&str, usize, usize)],
-    ) -> ArchiveSummary {
-        let mut w = ArchiveWriter::with_budget(path, budget).unwrap();
+    /// Tensors with panel edges (NR ∤ n) and tile remainders, then every
+    /// finite BF16 pattern as a 255×256 tensor (`Bf16` equality compares
+    /// bits, so −0 and subnormals count) spanning 16 decode chunks.
+    fn tensors() -> Vec<(&'static str, usize, usize, Vec<Bf16>)> {
+        let mut tensors: Vec<_> = [("a", 13usize, 11usize), ("b", 64, 32), ("c", 7, 130)]
+            .map(|(name, k, n)| (name, k, n, mixed(k * n)))
+            .into();
+        tensors.push(("finite", 255, 256, crate::bf16::all_finite().collect()));
+        tensors
+    }
+
+    fn write_archive(path: &Path, tensors: &[(&str, usize, usize)]) -> ArchiveSummary {
+        let mut w = ArchiveWriter::create(path).unwrap();
         for &(name, k, n) in tensors {
             let data = mixed(k * n);
             w.add_tensor_slice(name, k, n, &data).unwrap();
@@ -1158,16 +898,8 @@ mod tests {
     #[test]
     fn roundtrip_is_bit_identical_to_the_in_memory_path() {
         let path = temp_path("roundtrip");
-        // Shapes with panel edge (NR ∤ n), tile remainders, several chunks
-        // under a tiny budget; then every finite BF16 pattern as a 255×256
-        // tensor (`Bf16` equality compares bits, so −0 and subnormals
-        // count).
-        let mut tensors: Vec<(&str, usize, usize, Vec<Bf16>)> =
-            [("a", 13usize, 11usize), ("b", 64, 32), ("c", 7, 130)]
-                .map(|(name, k, n)| (name, k, n, mixed(k * n)))
-                .into();
-        tensors.push(("finite", 255, 256, crate::bf16::all_finite().collect()));
-        let mut w = ArchiveWriter::with_budget(&path, 16 << 10).unwrap();
+        let tensors = tensors();
+        let mut w = ArchiveWriter::create(&path).unwrap();
         for (name, k, n, data) in &tensors {
             w.add_tensor_slice(name, *k, *n, data).unwrap();
         }
@@ -1205,47 +937,92 @@ mod tests {
     }
 
     #[test]
-    fn chunked_streaming_matches_one_chunk_exactly() {
-        // The same tensor written under a budget forcing many chunks and
-        // one large enough for a single chunk must produce byte-identical
-        // plane contents (the index differs only in nothing — compare the
-        // loaded tensors).
-        let (k, n) = (37, 19);
-        let data = mixed(k * n);
-        let small = temp_path("chunked-small");
-        let big = temp_path("chunked-big");
-        for (path, budget) in [(&small, 2 << 10), (&big, 64 << 20)] {
-            let mut w = ArchiveWriter::with_budget(path, budget).unwrap();
-            w.add_tensor_slice("w", k, n, &data).unwrap();
+    fn archive_bytes_depend_only_on_the_weights() {
+        let tensors = tensors();
+        let write = |tag: &str, from_planes: bool| -> Vec<u8> {
+            let path = temp_path(tag);
+            let mut w = ArchiveWriter::create(&path).unwrap();
+            for (name, k, n, data) in &tensors {
+                if from_planes {
+                    let packed = encode_tensor(data, None).unwrap().decode_packed();
+                    let panels = packed.pack_panels(*k, *n);
+                    w.add_planes(name, *k, *n, &packed, &panels).unwrap();
+                } else {
+                    w.add_tensor_slice(name, *k, *n, data).unwrap();
+                }
+            }
             w.finish().unwrap();
+            let bytes = std::fs::read(&path).unwrap();
+            std::fs::remove_file(&path).unwrap();
+            bytes
+        };
+        let oracle = with_tier(KernelTier::Scalar, || {
+            owlp_par::with_threads(1, || write("oracle", false))
+        });
+        for &tier in available_tiers() {
+            for threads in [1, 4] {
+                let bytes = with_tier(tier, || {
+                    owlp_par::with_threads(threads, || write("slice", false))
+                });
+                assert!(bytes == oracle, "{tier} at {threads} threads");
+            }
         }
-        assert_eq!(
-            std::fs::read(&small).unwrap(),
-            std::fs::read(&big).unwrap(),
-            "streaming chunk size must not leak into the bytes"
-        );
-        std::fs::remove_file(&small).unwrap();
-        std::fs::remove_file(&big).unwrap();
+        assert!(write("planes", true) == oracle, "add_planes");
     }
 
     #[test]
-    fn peak_alloc_stays_within_the_budget() {
-        let path = temp_path("budget");
-        let budget = 64 << 10;
-        let summary = write_archive(&path, budget, &[("w", 200, 96)]);
-        assert!(
-            summary.peak_alloc <= budget,
-            "peak {} exceeds budget {budget}",
-            summary.peak_alloc
-        );
-        assert_eq!(summary.budget, budget);
+    fn header_and_footer_bit_flips_give_typed_errors() {
+        let path = temp_path("flips");
+        write_archive(&path, &[("w", 24, 20), ("x", 9, 13)]);
+        let clean = std::fs::read(&path).unwrap();
+        let footer = clean.len() - FOOTER_LEN;
+        let open = |bytes: &[u8]| {
+            std::fs::write(&path, bytes).unwrap();
+            MappedArchive::open(&path)
+        };
+        let typed = |r: &Result<MappedArchive, ArchiveError>| {
+            matches!(
+                r,
+                Err(ArchiveError::Format(FormatError::CorruptStream { .. }))
+            )
+        };
+        let (mut errors, mut loads) = (0, 0);
+        for byte in (0..HEADER_LEN as usize).chain(footer..clean.len()) {
+            for bit in 0..8 {
+                let mut bytes = clean.clone();
+                bytes[byte] ^= 1 << bit;
+                let opened = open(&bytes);
+                if (8..HEADER_LEN as usize).contains(&byte) {
+                    // The reserved header bytes are not read.
+                    let ar = opened.unwrap_or_else(|e| panic!("byte {byte} bit {bit}: {e}"));
+                    ar.verify().unwrap();
+                    loads += 1;
+                } else {
+                    assert!(typed(&opened), "byte {byte} bit {bit}: {:?}", opened.err());
+                    errors += 1;
+                }
+            }
+        }
+        assert_eq!((errors, loads), (352, 64));
+        // An index with a valid digest that claims u32::MAX sval tiles for
+        // its first tensor: past the name, five u64 fields and six plane
+        // descriptors.
+        let index_off = u64::from_le_bytes(clean[footer..footer + 8].try_into().unwrap()) as usize;
+        let tiles_at = index_off + 2 + "w".len() + 5 * 8 + 6 * 24;
+        let mut bytes = clean.clone();
+        assert_eq!(bytes[tiles_at..tiles_at + 4], 2u32.to_le_bytes());
+        bytes[tiles_at..tiles_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        let crc = crc32c_bytes(&bytes[index_off..footer]);
+        bytes[footer + 28..footer + 32].copy_from_slice(&crc.to_le_bytes());
+        let opened = open(&bytes);
+        assert!(typed(&opened), "{:?}", opened.err());
         std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn verify_scrubs_and_detects_plane_corruption() {
         let path = temp_path("scrub");
-        write_archive(&path, 8 << 10, &[("w", 40, 24)]);
+        write_archive(&path, &[("w", 40, 24)]);
         let ar = MappedArchive::open(&path).unwrap();
         let report = ar.verify().unwrap();
         assert_eq!(report.tensors, 1);
@@ -1273,7 +1050,7 @@ mod tests {
     #[test]
     fn torn_and_malformed_archives_are_rejected() {
         let path = temp_path("torn");
-        write_archive(&path, 8 << 10, &[("w", 16, 16)]);
+        write_archive(&path, &[("w", 16, 16)]);
         let bytes = std::fs::read(&path).unwrap();
         let truncated = temp_path("torn-cut");
         std::fs::write(&truncated, &bytes[..bytes.len() - 10]).unwrap();
@@ -1295,9 +1072,24 @@ mod tests {
     #[test]
     fn missing_and_duplicate_tensors_error() {
         let path = temp_path("names");
-        let mut w = ArchiveWriter::with_budget(&path, 8 << 10).unwrap();
+        let mut w = ArchiveWriter::create(&path).unwrap();
         w.add_tensor_slice("w", 4, 4, &mixed(16)).unwrap();
         assert!(w.add_tensor_slice("w", 4, 4, &mixed(16)).is_err());
+        // Rejected adds write nothing: the archive below holds only "w".
+        let packed = encode_tensor(&mixed(16), None).unwrap().decode_packed();
+        let panels = packed.pack_panels(4, 4);
+        assert!(w.add_planes("w", 4, 4, &packed, &panels).is_err());
+        assert!(matches!(
+            w.add_planes("y", 2, 4, &packed, &panels),
+            Err(ArchiveError::Format(FormatError::ShapeMismatch {
+                expected: 8,
+                actual: 16
+            }))
+        ));
+        assert!(matches!(
+            w.add_planes("y", 2, 8, &packed, &panels),
+            Err(ArchiveError::Format(FormatError::CorruptStream { .. }))
+        ));
         w.finish().unwrap();
         let ar = MappedArchive::open(&path).unwrap();
         assert!(matches!(
@@ -1312,7 +1104,7 @@ mod tests {
     #[test]
     fn empty_archive_roundtrips() {
         let path = temp_path("empty");
-        let summary = write_archive(&path, 8 << 10, &[]);
+        let summary = write_archive(&path, &[]);
         assert_eq!(summary.tensors, 0);
         let ar = MappedArchive::open(&path).unwrap();
         assert!(ar.is_empty());
@@ -1322,24 +1114,14 @@ mod tests {
     }
 
     #[test]
-    fn budget_parsing_accepts_suffixes() {
-        assert_eq!(parse_stream_budget("1024"), Some(1024));
-        assert_eq!(parse_stream_budget("64K"), Some(64 << 10));
-        assert_eq!(parse_stream_budget(" 8m "), Some(8 << 20));
-        assert_eq!(parse_stream_budget("2G"), Some(2 << 30));
-        assert_eq!(parse_stream_budget("x"), None);
-        assert_eq!(parse_stream_budget(""), None);
-    }
-
-    #[test]
     fn rewriting_a_mapped_path_keeps_the_live_mapping_intact() {
         let path = temp_path("rewrite-live");
-        write_archive(&path, 8 << 10, &[("w", 48, 40)]);
+        write_archive(&path, &[("w", 48, 40)]);
         let first = MappedArchive::open(&path).unwrap();
         let before = first.tensor("w").unwrap().to_bf16_vec();
         // Other tensors and a much shorter file: truncating in place would
         // pull the mapped pages out from under `first`.
-        write_archive(&path, 8 << 10, &[("x", 4, 4)]);
+        write_archive(&path, &[("x", 4, 4)]);
         first.verify().unwrap();
         assert_eq!(first.tensor("w").unwrap().to_bf16_vec(), before);
         let second = MappedArchive::open(&path).unwrap();
@@ -1351,9 +1133,9 @@ mod tests {
     #[test]
     fn an_unfinished_writer_removes_its_staging_file() {
         let path = temp_path("abandoned");
-        write_archive(&path, 8 << 10, &[("w", 16, 8)]);
+        write_archive(&path, &[("w", 16, 8)]);
         let before = std::fs::read(&path).unwrap();
-        let mut w = ArchiveWriter::with_budget(&path, 8 << 10).unwrap();
+        let mut w = ArchiveWriter::create(&path).unwrap();
         w.add_tensor_slice("x", 4, 4, &mixed(16)).unwrap();
         let staging = w.staging.clone().unwrap();
         assert!(staging.exists());
@@ -1366,7 +1148,7 @@ mod tests {
     #[test]
     fn mapped_planes_share_the_file_not_copies() {
         let path = temp_path("zero-copy");
-        write_archive(&path, 8 << 10, &[("w", 32, 16)]);
+        write_archive(&path, &[("w", 32, 16)]);
         let ar = MappedArchive::open(&path).unwrap();
         let t = ar.tensor_unverified("w").unwrap();
         if cfg!(all(

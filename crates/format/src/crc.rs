@@ -262,9 +262,8 @@ fn sw_bytes_raw(state: u32, bytes: &[u8]) -> u32 {
 /// Incremental CRC32C over a byte stream fed in arbitrary splits.
 ///
 /// `Crc32cHasher::new().update(a).update(b).finalize()` equals
-/// `crc32c_bytes(a ++ b)` for every split point — the property the
-/// archive writer relies on to digest planes it emits chunk by chunk
-/// under the streaming memory budget, without ever holding a full plane.
+/// `crc32c_bytes(a ++ b)` for every split point, so a stream can be
+/// digested without ever holding all of it.
 #[derive(Debug, Clone)]
 pub struct Crc32cHasher {
     state: u32,

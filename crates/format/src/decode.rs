@@ -118,7 +118,7 @@ impl DecodedOperand {
     /// Reconstructs the original BF16 value — the exact inverse of
     /// [`BiasDecoder::decode`] under the same shared exponent, bit-for-bit
     /// (including the sign of zero). This is the decode half of the
-    /// streaming archive: the packed planes alone recover the source
+    /// weight archive: the packed planes alone recover the source
     /// weights losslessly, so no BF16 copy needs to ride in the container.
     ///
     /// Outliers carry their exponent byte verbatim; for subnormals

@@ -62,8 +62,7 @@ pub mod stream;
 pub mod value;
 
 pub use archive2::{
-    stream_budget_from_env, ArchiveError, ArchiveSummary, ArchiveWriter, MappedArchive,
-    MappedTensor, VerifyReport,
+    ArchiveError, ArchiveSummary, ArchiveWriter, MappedArchive, MappedTensor, VerifyReport,
 };
 pub use bands::OutlierBands;
 pub use bf16::Bf16;

@@ -3,9 +3,8 @@
 //! A serving process restarts far more often than its weights change, so
 //! the cold start is dominated by getting weights from disk into the form
 //! the GEMM consumes. The archive-v2 path splits that work asymmetrically:
-//! the *offline* `repro pack` step encodes, packs, panel-tiles, and
-//! digests every tensor under a bounded streaming budget
-//! (`OWLP_STREAM_BUDGET`), and the *startup* path here just maps the file
+//! the *offline* `repro pack` step writes and digests every tensor's
+//! encoded planes and panels, and the *startup* path here just maps the file
 //! and adopts the planes — O(index) syscalls, zero decode, zero re-pack,
 //! weight bytes shared with the page cache across worker processes.
 //!
@@ -210,7 +209,7 @@ mod tests {
         let path = temp_path("gemm");
         let (k, n) = (37, 13);
         let b = mixed(k * n, 5);
-        let mut w = ArchiveWriter::with_budget(&path, 4 << 10).unwrap();
+        let mut w = ArchiveWriter::create(&path).unwrap();
         w.add_tensor_slice("blk/w", k, n, &b).unwrap();
         w.finish().unwrap();
 
@@ -234,7 +233,7 @@ mod tests {
     #[test]
     fn cold_start_measures_the_unverified_load() {
         let path = temp_path("cold");
-        let mut w = ArchiveWriter::with_budget(&path, 16 << 10).unwrap();
+        let mut w = ArchiveWriter::create(&path).unwrap();
         w.add_tensor_slice("a", 24, 16, &mixed(24 * 16, 7)).unwrap();
         w.add_tensor_slice("b", 16, 8, &mixed(16 * 8, 8)).unwrap();
         w.finish().unwrap();
