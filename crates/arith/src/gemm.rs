@@ -307,26 +307,30 @@ pub fn owlp_gemm_with(
 
 /// The full datapath drive loop, with optionally memoised weight panels.
 ///
-/// Under [`AlignUnit::Exact`] the m×n sweep runs in MR×NR register tiles:
-/// the [`crate::microkernel`] computes each tile as an `i16×i16→i32`
+/// Under [`AlignUnit::Exact`] the m×n sweep runs in R×NR register tiles
+/// of exactly the rows left: [`MR8`]-row tiles on AVX2, then [`MR`]-row
+/// tiles, then one tile of the last `m % MR` rows, so no zero row is
+/// multiplied (an `m = 1` decode step runs 1-row tiles). The
+/// [`crate::microkernel`] computes each tile as an `i16×i16→i32`
 /// outer-product dot over the activation sval rows and one
 /// [`PackedPanels`] panel, partial-summing `i64` lanes that spill into a
 /// per-element [`WindowAcc`] on the shared-exponent frame (no overflow by
 /// the K_SPILL bound — see the microkernel docs). Outliers stay out of
 /// the hot loop: the kernel sums every product as if both operands were
-/// normal, and each finished tile is corrected by *band lanes*
-/// ([`owlp_format::bands`]) — per row band an `NR`-lane dot of `i32`
-/// delta coefficients against the panel, per column band an `MR`-lane dot
-/// against the gathered activation column, plus the exact residual of the
-/// depths tagged on both sides. The true outlier products thereby land on
-/// the frames the PE's bypass path rebuilds from the outliers' own
-/// exponents. Each element folds its window, its lanes and its residual
-/// into one [`WindowAcc`] — or a [`crate::kulisch::KulischAcc`] when the frame span
-/// outgrows an `i128` — and rounds once with the same RNE conversion, so
-/// the result is bit-identical to driving the PE column; the outlier
-/// statistics count exactly the nonzero tagged products the PE's bypass
-/// path would carry. Runs under an [`AlignUnit::Bounded`] policy are
-/// order-sensitive and keep the full [`PeColumn`] datapath.
+/// normal, and each finished tile is corrected, `MR` rows at a time, by
+/// *band lanes* ([`owlp_format::bands`]) — per row band an `NR`-lane dot
+/// of `i32` delta coefficients against the panel, per column band a dot
+/// over the tile's live rows of the gathered activation column, plus the
+/// exact residual of the depths tagged on both sides. The true outlier
+/// products thereby land on the frames the PE's bypass path rebuilds from
+/// the outliers' own exponents. Each element folds its window, its lanes
+/// and its residual into one [`WindowAcc`] — or a
+/// [`crate::kulisch::KulischAcc`] when the frame span outgrows an `i128`
+/// — and rounds once with the same RNE conversion, so the result is
+/// bit-identical to driving the PE column; the outlier statistics count
+/// exactly the nonzero tagged products the PE's bypass path would carry.
+/// Runs under an [`AlignUnit::Bounded`] policy are order-sensitive and
+/// keep the full [`PeColumn`] datapath.
 ///
 /// `panels` (when `Some` and shape-matched) must be
 /// `packed_b.pack_panels(k, n)` — [`PreparedTensor::with_shape`] memoises
@@ -445,21 +449,15 @@ fn owlp_gemm_packed_impl<const ABFT: bool>(
         .as_ref()
         .zip(panels)
         .map(|(c, p)| c.plan(packed_b, p, a_sval, k, tier));
-    // All-zero activation row standing in for the `m % MR` edge rows: zero
-    // svals contribute nothing, so the full-size kernel handles edges.
-    let zero_row = vec![0i16; k];
     // Tile-parallel over output columns: each chunk runs the register-tiled
     // microkernel (or the PE column) over its panel range. The grain is
-    // NR-aligned so no MR×NR tile straddles a chunk boundary. Results
+    // NR-aligned so no R×NR tile straddles a chunk boundary. Results
     // assemble in column order and the wavefront statistics reduce over the
     // ordered tile list (max and sum — order-free anyway), so the output is
     // bit-identical to the serial sweep at every thread count.
     let grain = crate::exact::row_grain(k, m).next_multiple_of(NR);
     let col_ops = 2 * (k as u64).saturating_mul(m as u64).max(1);
-    // The widened 8×NR tile only pays on AVX2, where it amortizes one
-    // panel load + interleave over eight rows; on every other tier it
-    // would compute the same two MR-tile calls the 4-row loop already
-    // makes, so those tiers keep the narrow shape.
+    // The 8-row tile runs on AVX2 only (see `MR8`).
     let use_x8 = tier == microkernel::KernelTier::Avx2;
     let tiles = owlp_par::map_chunks_weighted(n, grain, col_ops, |cols| {
         let j0 = cols.start;
@@ -478,14 +476,13 @@ fn owlp_gemm_packed_impl<const ABFT: bool>(
                 .as_ref()
                 .expect("the plan is built whenever the fast path runs");
             let mut scratch = TileScratch::take();
-            // Finalizes one MR×NR window tile into `values`: the sanctioned
-            // strike, the ABFT checksum partials, and the band-lane outlier
-            // correction.
+            // Finalizes one window tile of at most MR rows into `values`:
+            // the sanctioned strike, the ABFT checksum partials, and the
+            // band-lane outlier correction.
             let mut finalize_tile =
-                |wins: &[[WindowAcc; NR]; MR], ib: usize, jb: usize, panel: &[i16]| {
-                    let mr = MR.min(m - ib);
+                |wins: &mut [[WindowAcc; NR]], ib: usize, jb: usize, panel: &[i16]| {
+                    let mr = wins.len();
                     let nr = NR.min(cols.end - jb);
-                    let mut wins = *wins;
                     // The sanctioned upset lands on the raw lane *before*
                     // checksum collection: output and checksums corrupt
                     // consistently, exactly as an in-flight strike would.
@@ -500,7 +497,7 @@ fn owlp_gemm_packed_impl<const ABFT: bool>(
                         // tile (i128 addition is exact and order-free, so
                         // the checksums are unchanged bit for bit).
                         if let Some((rs, cs)) = sums.as_mut() {
-                            for (r, wins_row) in wins.iter().enumerate().take(mr) {
+                            for (r, wins_row) in wins.iter().enumerate() {
                                 for (c, win) in wins_row.iter().enumerate().take(nr) {
                                     rs[ib + r] += win.raw();
                                     cs[jb + c - cols.start] += win.raw();
@@ -508,56 +505,46 @@ fn owlp_gemm_packed_impl<const ABFT: bool>(
                             }
                         }
                     }
-                    plan.correct_tile(
-                        &mut scratch,
-                        &wins,
-                        ib,
-                        mr,
-                        jb,
-                        nr,
-                        panel,
-                        &zero_row,
-                        |r, c, out| {
-                            values[(jb + c - cols.start) * m + ib + r] = out.value;
-                            max_wavefront = max_wavefront.max(out.routed);
-                            total += out.routed;
-                        },
-                    );
+                    plan.correct_tile(&mut scratch, wins, ib, jb, nr, panel, |r, c, out| {
+                        values[(jb + c - cols.start) * m + ib + r] = out.value;
+                        max_wavefront = max_wavefront.max(out.routed);
+                        total += out.routed;
+                    });
                 };
             // Weight-stationary traversal: each NR panel of the chunk
-            // sweeps every row of A, eight rows at a time on AVX2 and MR
-            // otherwise. The tile kernels spill their i64 lanes into the
-            // windows every K_SPILL depths, so any k runs in one pass.
+            // sweeps every row of A in tiles of exactly the rows left —
+            // eight at a time on AVX2, then four, then one tile of the last
+            // one to three — so no zero row is multiplied. The microkernel
+            // covers the outlier-free bulk: every product is an integer
+            // < 2^30 on the shared frame (outlier svals included as their
+            // as-if-normal value, corrected in the finalize), so regrouping
+            // into register tiles cannot change the exact per-element sum.
+            // The tile kernels spill their i64 lanes into the windows every
+            // K_SPILL depths, so any k runs in one pass.
             for jb in cols.clone().step_by(NR) {
                 let panel = panels.panel(jb / NR);
                 let mut ib = 0;
                 while ib < m {
-                    if use_x8 && ib + MR8 <= m {
-                        let a8: [&[i16]; MR8] =
-                            std::array::from_fn(|r| &a_sval[(ib + r) * k..(ib + r + 1) * k]);
-                        let [w0, w1] = microkernel::tile_dot_i16_x8_with(tier, a8, panel, win0);
-                        finalize_tile(&w0, ib, jb, panel);
-                        finalize_tile(&w1, ib + MR, jb, panel);
-                        ib += MR8;
+                    let mr = if use_x8 && m - ib >= MR8 {
+                        MR8
                     } else {
-                        let mr = MR.min(m - ib);
-                        let a_rows: [&[i16]; MR] = std::array::from_fn(|r| {
-                            if r < mr {
-                                &a_sval[(ib + r) * k..(ib + r + 1) * k]
-                            } else {
-                                zero_row.as_slice()
-                            }
-                        });
-                        // The microkernel covers the outlier-free bulk:
-                        // every product is an integer < 2^30 on the shared
-                        // frame (outlier svals included as their as-if-normal
-                        // value, corrected in the finalize), so regrouping
-                        // into register tiles cannot change the exact
-                        // per-element sum.
-                        let wins = microkernel::tile_dot_i16_with(tier, a_rows, panel, win0);
-                        finalize_tile(&wins, ib, jb, panel);
-                        ib += MR;
+                        MR.min(m - ib)
+                    };
+                    let a = &a_sval[ib * k..(ib + mr) * k];
+                    // An 8-row tile finalizes as two MR-row halves.
+                    let mut done = |wins: &mut [[WindowAcc; NR]]| {
+                        for (h, wins) in wins.chunks_mut(MR).enumerate() {
+                            finalize_tile(wins, ib + h * MR, jb, panel);
+                        }
+                    };
+                    match mr {
+                        MR8 => done(&mut row_tile::<MR8>(tier, a, panel, win0)),
+                        MR => done(&mut row_tile::<MR>(tier, a, panel, win0)),
+                        3 => done(&mut row_tile::<3>(tier, a, panel, win0)),
+                        2 => done(&mut row_tile::<2>(tier, a, panel, win0)),
+                        _ => done(&mut row_tile::<1>(tier, a, panel, win0)),
                     }
+                    ib += mr;
                 }
             }
             scratch.keep();
@@ -619,6 +606,20 @@ fn owlp_gemm_packed_impl<const ABFT: bool>(
         },
         abft_sums,
     ))
+}
+
+/// The kernel windows of the `R` activation rows `a` (row-major, `R·k`
+/// svals) against one weight `panel`.
+#[inline]
+fn row_tile<const R: usize>(
+    tier: microkernel::KernelTier,
+    a: &[i16],
+    panel: &[i16],
+    win0: WindowAcc,
+) -> [[WindowAcc; NR]; R] {
+    let k = a.len() / R;
+    let a_rows: [&[i16]; R] = std::array::from_fn(|r| &a[r * k..(r + 1) * k]);
+    microkernel::tile_dot_i16_with(tier, a_rows, panel, win0)
 }
 
 fn check_shape(t: &[Bf16], expected: usize, what: &'static str) -> Result<(), ArithError> {

@@ -11,17 +11,18 @@
 //! where `R_i` / `C_j` are the tagged depths of activation row `i` and
 //! weight column `j`, and `Δ = s·(2^d − 1)` is a tagged entry's delta
 //! (see [`owlp_format::bands`], which stores the deltas as `i32` band
-//! coefficients). For one MR×NR register tile the first sum is, per row
-//! band, an `NR`-lane dot of coefficients against panel rows; the second
-//! is, per column band, an `MR`-lane dot of coefficients against the
-//! activation column gathered from the row-major sval plane; the third —
-//! the exact residual of depths tagged on both sides — is found from the
-//! column's count region against each row's depth mask and summed at frame
-//! `f0 + b0a + b0b` (plus up to three products per depth whose delta is
-//! split across a far band). Each element then folds its kernel window,
-//! its lane sums and its residual into one [`WindowAcc`] sized from those
-//! terms' own frames and magnitudes, or into a [`KulischAcc`] when
-//! [`WindowAcc::for_span`] refuses the span, and rounds once.
+//! coefficients). For one R×NR register tile (`R ≤ MR` live rows) the
+//! first sum is, per row band, an `NR`-lane dot of coefficients against
+//! panel rows; the second is, per column band, an `R`-lane dot of
+//! coefficients against the activation column gathered from the
+//! row-major sval plane; the third — the exact residual of depths tagged
+//! on both sides — is found from the column's count region against each
+//! row's depth mask and summed at frame `f0 + b0a + b0b` (plus up to
+//! three products per depth whose delta is split across a far band).
+//! Each element then folds its kernel window, its lane sums and its
+//! residual into one [`WindowAcc`] sized from those terms' own frames and
+//! magnitudes, or into a [`KulischAcc`] when [`WindowAcc::for_span`]
+//! refuses the span, and rounds once.
 //!
 //! The same pass counts, per element, the nonzero tagged products the PE's
 //! bypass path would carry: row-side records against nonzero panel words,
@@ -236,67 +237,68 @@ pub(crate) struct Corrected {
 }
 
 impl Plan<'_> {
-    /// Corrects the MR×NR tile at rows `ib..ib+mr`, columns `jb..jb+nr`
-    /// whose kernel windows are `wins` and whose weight panel is `panel`,
-    /// calling `emit(r, c, corrected)` once per element.
+    /// Corrects the tile of rows `ib..ib + wins.len()` (at most [`MR`],
+    /// starting on a multiple of it), columns `jb..jb+nr`, whose kernel
+    /// windows are `wins` and whose weight panel is `panel`, calling
+    /// `emit(r, c, corrected)` once per element.
     #[allow(clippy::too_many_arguments)]
     #[inline]
     pub(crate) fn correct_tile(
         &self,
         scratch: &mut TileScratch,
-        wins: &[[WindowAcc; NR]; MR],
+        wins: &[[WindowAcc; NR]],
         ib: usize,
-        mr: usize,
         jb: usize,
         nr: usize,
         panel: &[i16],
-        zero_row: &[i16],
         mut emit: impl FnMut(usize, usize, Corrected),
     ) {
+        let mr = wins.len();
+        debug_assert!((1..=MR).contains(&mr) && ib.is_multiple_of(MR));
         let tagged = |t: &OutlierBands, lines: std::ops::Range<usize>| {
             !t.is_empty() && lines.into_iter().any(|l| t.line(l).count > 0)
         };
         if tagged(self.rows, ib..ib + mr) || tagged(self.cols, jb..jb + nr) {
-            self.correct_tagged_tile(scratch, wins, ib, mr, jb, nr, panel, zero_row, emit);
+            match mr {
+                1 => self.correct_tagged_tile::<1>(scratch, wins, ib, jb, nr, panel, emit),
+                2 => self.correct_tagged_tile::<2>(scratch, wins, ib, jb, nr, panel, emit),
+                3 => self.correct_tagged_tile::<3>(scratch, wins, ib, jb, nr, panel, emit),
+                _ => self.correct_tagged_tile::<MR>(scratch, wins, ib, jb, nr, panel, emit),
+            }
             return;
         }
         // No tagged entry touches this tile: the windows hold the exact
         // sums.
         for c in 0..nr {
-            for (r, wins_row) in wins.iter().enumerate().take(mr) {
+            for (r, wins_row) in wins.iter().enumerate() {
                 let value = wins_row[c].round_to_f32();
                 emit(r, c, Corrected { value, routed: 0 });
             }
         }
     }
 
-    /// [`Plan::correct_tile`] of a tile some tagged entry touches — kept
-    /// out of line so the untagged tiles' check and rounding stay inline.
+    /// [`Plan::correct_tile`] of an `R`-row tile some tagged entry touches
+    /// — kept out of line so the untagged tiles' check and rounding stay
+    /// inline. The column bands gather, multiply and count only the `R`
+    /// live rows.
     #[allow(clippy::too_many_arguments)]
     #[inline(never)]
-    fn correct_tagged_tile(
+    fn correct_tagged_tile<const R: usize>(
         &self,
         scratch: &mut TileScratch,
-        wins: &[[WindowAcc; NR]; MR],
+        wins: &[[WindowAcc; NR]],
         ib: usize,
-        mr: usize,
         jb: usize,
         nr: usize,
         panel: &[i16],
-        zero_row: &[i16],
         mut emit: impl FnMut(usize, usize, Corrected),
     ) {
         let (rows, cols, k) = (self.rows, self.cols, self.k);
-        let lines_a: [BandLine; MR] = std::array::from_fn(|r| rows.line(ib + r.min(mr - 1)));
+        let lines_a: [BandLine; R] = std::array::from_fn(|r| rows.line(ib + r));
         let lines_b: [BandLine; NR] = std::array::from_fn(|c| cols.line(jb + c.min(nr - 1)));
-        let a_rows: [&[i16]; MR] = std::array::from_fn(|r| {
-            if r < mr {
-                &self.a_sval[(ib + r) * k..(ib + r + 1) * k]
-            } else {
-                zero_row
-            }
-        });
-        let mut cnt = [[0u32; NR]; MR];
+        let a_rows: [&[i16]; R] =
+            std::array::from_fn(|r| &self.a_sval[(ib + r) * k..(ib + r + 1) * k]);
+        let mut cnt = [[0u32; NR]; R];
         // Row bands: NR-lane dots of coefficients against panel rows.
         let TileScratch {
             row_lanes,
@@ -305,8 +307,8 @@ impl Plan<'_> {
             terms,
         } = scratch;
         row_lanes.clear();
-        let mut row_at = [0usize; MR];
-        for (r, la) in lines_a.iter().enumerate().take(mr) {
+        let mut row_at = [0usize; R];
+        for (r, la) in lines_a.iter().enumerate() {
             row_at[r] = row_lanes.len();
             let count_end = la.rec + la.count;
             for band in rows.bands(la) {
@@ -320,15 +322,15 @@ impl Plan<'_> {
                 ));
             }
         }
-        // Column bands: MR-lane dots of coefficients against the gathered
-        // activation column. A count-region depth some tile row also tags
-        // adds that row's residual `ca·cb` (frame `f0 + b0a + b0b`) on the
-        // spot; depths where either side is split are kept in `hits` (with
-        // their row bits) for the far-band halves.
+        // Column bands: R-lane dots of coefficients against the gathered
+        // activation column (lanes past `R` stay 0). A count-region depth
+        // some tile row also tags adds that row's residual `ca·cb` (frame
+        // `f0 + b0a + b0b`) on the spot; depths where either side is split
+        // are kept in `hits` (with their row bits) for the far-band halves.
         col_lanes.clear();
         hits.clear();
-        let mut both = [[0u32; NR]; MR];
-        let mut common = [[0i128; NR]; MR];
+        let mut both = [[0u32; NR]; R];
+        let mut common = [[0i128; NR]; R];
         let mut col_at = [0usize; NR];
         let mut hit_at = [0usize; NR + 1];
         for (c, lb) in lines_b.iter().enumerate().take(nr) {
@@ -340,17 +342,20 @@ impl Plan<'_> {
                 let counting = band.start < count_end;
                 for (x, (&kk, &cf)) in cols.depths(band).iter().zip(cols.coefs(band)).enumerate() {
                     let kk = kk as usize;
-                    let av: [i16; MR] = std::array::from_fn(|r| a_rows[r][kk]);
-                    for r in 0..MR {
+                    let av: [i16; R] = std::array::from_fn(|r| a_rows[r][kk]);
+                    for r in 0..R {
                         lane[r] += i64::from(cf) * i64::from(av[r]);
                     }
                     if !counting {
                         continue;
                     }
-                    for r in 0..MR {
+                    for r in 0..R {
                         cnt[r][c] += u32::from(av[r] != 0);
                     }
+                    // Rows past `m` have empty masks, so only live rows
+                    // answer.
                     let mut tagged = self.index.tile_rows(ib, kk);
+                    debug_assert!(tagged >> R == 0);
                     if tagged == 0 {
                         continue;
                     }
@@ -378,7 +383,7 @@ impl Plan<'_> {
         }
         hit_at[nr] = hits.len();
         for (c, lb) in lines_b.iter().enumerate().take(nr) {
-            for (r, la) in lines_a.iter().enumerate().take(mr) {
+            for (r, la) in lines_a.iter().enumerate() {
                 let win = wins[r][c];
                 let routed = (cnt[r][c] - both[r][c]) as usize;
                 if routed == 0 {

@@ -25,7 +25,7 @@
 //!    is exact by a margin of 19 bits (any `K_SPILL ≤ 2^32` would do;
 //!    2^14 keeps a segment resident in L1). Integer addition is
 //!    associative and commutative, so regrouping the dot product into
-//!    MR×NR register tiles, K segments, per-lane partials — **or the
+//!    R×NR register tiles, K segments, per-lane partials — **or the
 //!    pairwise-`madd` adjacent sums of the SIMD tiers** — computes the
 //!    *same* exact integer as the scalar sweep; bit-identity with the
 //!    Kulisch oracle is preserved by construction at every tier. The one
@@ -47,14 +47,17 @@
 //! vectorizes only on AVX2 (it needs a signed widening 32-bit multiply);
 //! all other entry points vectorize on every non-scalar tier.
 //!
-//! The kernel computes an [`MR`]×[`NR`] output tile per call: `MR` rows
-//! of A (flat sval slices) against one [`owlp_format::PackedPanels`]
-//! panel of `NR` interleaved weight columns. Callers pad edge tiles with
-//! an all-zero row / rely on the panel's zero-padded columns — zero
-//! svals contribute nothing, so there are no edge-case variants to
-//! diverge from the proof above. Panels may carry zero-padded depths
-//! beyond the K segment ([`owlp_format::PackedPanels::padded_k`]); the
-//! kernels only require `panel.len() ≥ seg·NR`.
+//! The kernel computes an `R`×[`NR`] output tile per call: `R` rows of A
+//! (flat sval slices) against one [`owlp_format::PackedPanels`] panel of
+//! `NR` interleaved weight columns. The tile height `R` is a const
+//! generic, and a tile has exactly its live rows: the drive loop runs
+//! [`MR8`]-row tiles on AVX2, then [`MR`]-row tiles, then one tile of the
+//! `m % MR` rows left, so no zero row is ever multiplied. Columns rely on
+//! the panel's zero padding — zero svals contribute nothing, so there are
+//! no edge-case variants to diverge from the proof above. Panels may
+//! carry zero-padded depths beyond the K segment
+//! ([`owlp_format::PackedPanels::padded_k`]); the kernels only require
+//! `panel.len() ≥ seg·NR`.
 //!
 //! The exact oracle [`crate::exact::exact_gemm`] calls none of these
 //! kernels: it shares no fast code with the path it judges.
@@ -72,8 +75,14 @@ pub use dispatch::{
 
 use crate::window::WindowAcc;
 
-/// Output-tile rows per microkernel call.
+/// Output-tile rows of the drive loop's standard tile.
 pub const MR: usize = 4;
+
+/// Output-tile rows of the AVX2 drive loop's tall tile: one panel load
+/// and its in-register interleave serve eight A rows. The drive loop runs
+/// it on AVX2 only — on SSE2 its accumulators alone would fill all sixteen
+/// xmm registers.
+pub const MR8: usize = 2 * MR;
 
 /// Output-tile columns per microkernel call — fixed by the panel layout.
 pub const NR: usize = owlp_format::packed::PANEL_NR;
@@ -83,20 +92,20 @@ pub const NR: usize = owlp_format::packed::PANEL_NR;
 /// provably exact in `i64` (see the module docs).
 pub const K_SPILL: usize = 1 << 14;
 
-/// Multiplies one K-segment of an MR×NR tile into the `i64` lane array:
+/// Multiplies one K-segment of an R×NR tile into the `i64` lane array:
 /// `lanes[r][c] += Σ_kk a_rows[r][kk] · panel[kk·NR + c]`, on `tier`
 /// (clamped).
 ///
-/// `a_rows` are `seg`-long sval slices (pad missing edge rows with a zero
-/// slice); `panel` is a K-major panel segment of at least `seg·NR`
-/// entries (extra zero-padded depths are ignored). The caller must spill
-/// at least every [`K_SPILL`] terms.
+/// `a_rows` are `seg`-long sval slices, one per live row; `panel` is a
+/// K-major panel segment of at least `seg·NR` entries (extra zero-padded
+/// depths are ignored). The caller must spill at least every [`K_SPILL`]
+/// terms.
 #[inline]
-fn tile_mul_i16_with(
+fn tile_mul_i16_with<const R: usize>(
     tier: KernelTier,
-    a_rows: [&[i16]; MR],
+    a_rows: [&[i16]; R],
     panel: &[i16],
-    lanes: &mut [[i64; NR]; MR],
+    lanes: &mut [[i64; NR]; R],
 ) {
     let seg = a_rows[0].len();
     debug_assert!(seg <= K_SPILL, "segment longer than the spill period");
@@ -114,112 +123,39 @@ fn tile_mul_i16_with(
     }
 }
 
-/// Output-tile rows of the widened `8×NR` register tier: two vertically
-/// stacked `MR×NR` tiles sharing one panel load stream. The AVX2 kernel
-/// amortizes the panel load + in-register interleave over eight A rows;
-/// every other tier computes the identical exact lanes as two `MR` tile
-/// calls, so the drive loops only *prefer* the widened shape on AVX2.
-pub const MR8: usize = 2 * MR;
-
-/// Multiplies one K-segment of an 8×NR tile into two stacked `i64` lane
-/// tiles (`lo` = rows `0..MR`, `hi` = rows `MR..MR8`), on `tier`
-/// (clamped). Contract as [`tile_mul_i16_with`].
-#[inline]
-fn tile_mul_i16_x8_with(
-    tier: KernelTier,
-    a_rows: [&[i16]; MR8],
-    panel: &[i16],
-    lo: &mut [[i64; NR]; MR],
-    hi: &mut [[i64; NR]; MR],
-) {
-    let seg = a_rows[0].len();
-    debug_assert!(seg <= K_SPILL, "segment longer than the spill period");
-    debug_assert!(a_rows.iter().all(|r| r.len() == seg));
-    debug_assert!(panel.len() >= seg * NR, "panel shorter than the K segment");
-    match dispatch::clamp(tier) {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `clamp` only yields Avx2 when runtime detection saw it.
-        KernelTier::Avx2 => unsafe { x86::tile_mul_i16_x8_avx2(a_rows, panel, lo, hi) },
-        t => {
-            // No widened kernel below AVX2: two MR-tile calls on the same
-            // tier accumulate the identical exact integer lanes (the split
-            // is pure re-association of disjoint row sums).
-            let first: [&[i16]; MR] = std::array::from_fn(|r| a_rows[r]);
-            let second: [&[i16]; MR] = std::array::from_fn(|r| a_rows[MR + r]);
-            tile_mul_i16_with(t, first, panel, lo);
-            tile_mul_i16_with(t, second, panel, hi);
-        }
-    }
-}
-
-/// Full-depth MR×NR tile: segments of [`K_SPILL`] terms accumulate in
+/// Full-depth R×NR tile: segments of [`K_SPILL`] terms accumulate in
 /// `i64` lanes and spill into per-element [`WindowAcc`]s cloned from
 /// `win0` (the shared-frame window of the GEMM call).
 #[inline]
-pub fn tile_dot_i16(a_rows: [&[i16]; MR], panel: &[i16], win0: WindowAcc) -> [[WindowAcc; NR]; MR] {
+pub fn tile_dot_i16<const R: usize>(
+    a_rows: [&[i16]; R],
+    panel: &[i16],
+    win0: WindowAcc,
+) -> [[WindowAcc; NR]; R] {
     tile_dot_i16_with(selected_tier(), a_rows, panel, win0)
 }
 
 /// [`tile_dot_i16`] on an explicit tier (clamped once up front).
 #[inline]
-pub fn tile_dot_i16_with(
+pub fn tile_dot_i16_with<const R: usize>(
     tier: KernelTier,
-    a_rows: [&[i16]; MR],
+    a_rows: [&[i16]; R],
     panel: &[i16],
     win0: WindowAcc,
-) -> [[WindowAcc; NR]; MR] {
+) -> [[WindowAcc; NR]; R] {
     let tier = dispatch::clamp(tier);
     let k = a_rows[0].len();
     debug_assert!(panel.len() >= k * NR);
-    let mut wins = [[win0; NR]; MR];
-    let mut lanes = [[0i64; NR]; MR];
+    let mut wins = [[win0; NR]; R];
+    let mut lanes = [[0i64; NR]; R];
     let mut s = 0usize;
     while s < k {
         let seg = K_SPILL.min(k - s);
-        let sub: [&[i16]; MR] = std::array::from_fn(|r| &a_rows[r][s..s + seg]);
+        let sub: [&[i16]; R] = std::array::from_fn(|r| &a_rows[r][s..s + seg]);
         tile_mul_i16_with(tier, sub, &panel[s * NR..(s + seg) * NR], &mut lanes);
         for (wr, lr) in wins.iter_mut().zip(&mut lanes) {
             for (w, lane) in wr.iter_mut().zip(lr.iter_mut()) {
                 w.add_aligned(std::mem::take(lane));
-            }
-        }
-        s += seg;
-    }
-    wins
-}
-
-/// Full-depth 8×NR tile (see [`MR8`]): [`tile_dot_i16_with`] for two
-/// stacked MR tiles, returned as `[lower rows, upper rows]` so the
-/// finalize passes keep consuming `MR×NR` window tiles unchanged.
-#[inline]
-pub fn tile_dot_i16_x8_with(
-    tier: KernelTier,
-    a_rows: [&[i16]; MR8],
-    panel: &[i16],
-    win0: WindowAcc,
-) -> [[[WindowAcc; NR]; MR]; 2] {
-    let tier = dispatch::clamp(tier);
-    let k = a_rows[0].len();
-    debug_assert!(panel.len() >= k * NR);
-    let mut wins = [[[win0; NR]; MR]; 2];
-    let mut lanes = [[[0i64; NR]; MR]; 2];
-    let mut s = 0usize;
-    while s < k {
-        let seg = K_SPILL.min(k - s);
-        let sub: [&[i16]; MR8] = std::array::from_fn(|r| &a_rows[r][s..s + seg]);
-        let (l0, l1) = lanes.split_at_mut(1);
-        tile_mul_i16_x8_with(
-            tier,
-            sub,
-            &panel[s * NR..(s + seg) * NR],
-            &mut l0[0],
-            &mut l1[0],
-        );
-        for (wt, lt) in wins.iter_mut().zip(&mut lanes) {
-            for (wr, lr) in wt.iter_mut().zip(lt.iter_mut()) {
-                for (w, lane) in wr.iter_mut().zip(lr.iter_mut()) {
-                    w.add_aligned(std::mem::take(lane));
-                }
             }
         }
         s += seg;
@@ -307,7 +243,7 @@ pub fn band_dot_with(
 /// current selection — they differ only where an ISA level lacks the
 /// needed instruction (every non-AVX2 tier's `band_dot`). For
 /// `repro features`.
-pub fn entry_point_tiers() -> [(&'static str, KernelTier); 4] {
+pub fn entry_point_tiers() -> [(&'static str, KernelTier); 3] {
     let t = selected_tier();
     let band_tier = if t == KernelTier::Avx2 {
         t
@@ -316,7 +252,6 @@ pub fn entry_point_tiers() -> [(&'static str, KernelTier); 4] {
     };
     [
         ("tile_dot_i16", t),
-        ("tile_dot_i16_x8", t),
         ("dot_sval", t),
         ("band_dot", band_tier),
     ]
@@ -395,8 +330,29 @@ mod tests {
         }
     }
 
+    /// The rows of an `R`-row tile on `tier` against `R` one-row tiles on
+    /// the scalar tier (and on `tier`): a tile's rows are independent sums.
+    fn tile_equals_one_row_tiles<const R: usize>(rows: &[&[i16]], panel: &[i16], win0: WindowAcc) {
+        let a_rows: [&[i16]; R] = std::array::from_fn(|r| rows[r]);
+        let oracle: Vec<[WindowAcc; NR]> = a_rows
+            .iter()
+            .map(|&row| tile_dot_i16_with(KernelTier::Scalar, [row], panel, win0)[0])
+            .collect();
+        for &tier in available_tiers() {
+            let wins = tile_dot_i16_with(tier, a_rows, panel, win0);
+            for (r, &row) in a_rows.iter().enumerate() {
+                let [one] = tile_dot_i16_with(tier, [row], panel, win0);
+                for c in 0..NR {
+                    let want = oracle[r][c].raw();
+                    assert_eq!(wins[r][c].raw(), want, "tier {tier} R={R} ({r},{c})");
+                    assert_eq!(one[c].raw(), want, "tier {tier} one-row ({r},{c})");
+                }
+            }
+        }
+    }
+
     #[test]
-    fn x8_tile_matches_two_mr_tiles_on_every_tier() {
+    fn r_row_tile_equals_r_one_row_tiles_on_every_tier() {
         let k = K_SPILL + 21; // spill crossing + odd remainder for the tails
         let a: Vec<Bf16> = normals(MR8 * k, 77);
         let b: Vec<Bf16> = normals(k * NR, 88);
@@ -405,28 +361,12 @@ mod tests {
         let (pa, pb) = (ea.decode_packed(), eb.decode_packed());
         let panels = pb.pack_panels(k, NR);
         let win0 = WindowAcc::for_owlp_normal(ea.shared_exp(), eb.shared_exp(), k);
-        let a8: [&[i16]; MR8] = std::array::from_fn(|r| &pa.svals()[r * k..(r + 1) * k]);
-        let lo_rows: [&[i16]; MR] = std::array::from_fn(|r| a8[r]);
-        let hi_rows: [&[i16]; MR] = std::array::from_fn(|r| a8[MR + r]);
-        let oracle_lo = tile_dot_i16_with(KernelTier::Scalar, lo_rows, panels.panel(0), win0);
-        let oracle_hi = tile_dot_i16_with(KernelTier::Scalar, hi_rows, panels.panel(0), win0);
-        for &tier in available_tiers() {
-            let [w0, w1] = tile_dot_i16_x8_with(tier, a8, panels.panel(0), win0);
-            for r in 0..MR {
-                for c in 0..NR {
-                    assert_eq!(
-                        w0[r][c].raw(),
-                        oracle_lo[r][c].raw(),
-                        "tier {tier} lo ({r},{c})"
-                    );
-                    assert_eq!(
-                        w1[r][c].raw(),
-                        oracle_hi[r][c].raw(),
-                        "tier {tier} hi ({r},{c})"
-                    );
-                }
-            }
-        }
+        let rows: Vec<&[i16]> = pa.svals().chunks_exact(k).collect();
+        let panel = panels.panel(0);
+        tile_equals_one_row_tiles::<2>(&rows, panel, win0);
+        tile_equals_one_row_tiles::<3>(&rows, panel, win0);
+        tile_equals_one_row_tiles::<MR>(&rows, panel, win0);
+        tile_equals_one_row_tiles::<MR8>(&rows, panel, win0);
     }
 
     #[test]
@@ -490,42 +430,59 @@ mod tests {
             let got = dot_sval_with(tier, &a, &b, win0);
             assert_eq!(got.raw(), oracle.raw(), "tier {tier}");
         }
-        // And through the tile path, one column of each sign pattern.
+        // And through the tile path at every height, one column of each
+        // sign pattern.
         let panel: Vec<i16> = (0..k)
             .flat_map(|i| {
                 let v = if i % 5 == 0 { -32752i16 } else { 32752 };
                 [v, -v, v, -v]
             })
             .collect();
-        let a_rows: [&[i16]; MR] = [&a, &b, &a, &b];
-        let oracle = tile_dot_i16_with(KernelTier::Scalar, a_rows, &panel, win0);
-        for &tier in available_tiers() {
-            let got = tile_dot_i16_with(tier, a_rows, &panel, win0);
-            for r in 0..MR {
-                for c in 0..NR {
-                    assert_eq!(got[r][c].raw(), oracle[r][c].raw(), "tier {tier} ({r},{c})");
+        fn check<const R: usize>(a: &[i16], b: &[i16], panel: &[i16], win0: WindowAcc) {
+            let a_rows: [&[i16]; R] = std::array::from_fn(|r| if r % 2 == 0 { a } else { b });
+            let oracle = tile_dot_i16_with(KernelTier::Scalar, a_rows, panel, win0);
+            for &tier in available_tiers() {
+                let got = tile_dot_i16_with(tier, a_rows, panel, win0);
+                for r in 0..R {
+                    for c in 0..NR {
+                        let (g, o) = (got[r][c].raw(), oracle[r][c].raw());
+                        assert_eq!(g, o, "tier {tier} R={R} ({r},{c})");
+                    }
                 }
             }
         }
+        check::<1>(&a, &b, &panel, win0);
+        check::<2>(&a, &b, &panel, win0);
+        check::<3>(&a, &b, &panel, win0);
+        check::<MR>(&a, &b, &panel, win0);
+        check::<MR8>(&a, &b, &panel, win0);
     }
 
     #[test]
     fn padded_panels_are_ignored_beyond_the_segment() {
         // A panel longer than seg·NR (the PR7 zero-padded layout) must
-        // produce the same lanes as the exact-length panel.
+        // produce the same lanes as the exact-length panel, at every tile
+        // height.
         let k = 21; // odd: exercises every tier's tail
         let a: Vec<i16> = (0..k as i16).map(|i| (i * 7 - 50) * 3).collect();
-        let a_rows: [&[i16]; MR] = [&a, &a, &a, &a];
         let exact: Vec<i16> = (0..k * NR).map(|i| (i as i16 % 111) - 55).collect();
         let mut padded = exact.clone();
         padded.extend(std::iter::repeat_n(0i16, 3 * NR));
-        for &tier in available_tiers() {
-            let mut lanes_a = [[0i64; NR]; MR];
-            let mut lanes_b = [[0i64; NR]; MR];
-            tile_mul_i16_with(tier, a_rows, &exact, &mut lanes_a);
-            tile_mul_i16_with(tier, a_rows, &padded, &mut lanes_b);
-            assert_eq!(lanes_a, lanes_b, "tier {tier}");
+        fn check<const R: usize>(a: &[i16], exact: &[i16], padded: &[i16]) {
+            let a_rows: [&[i16]; R] = [a; R];
+            for &tier in available_tiers() {
+                let mut lanes_a = [[0i64; NR]; R];
+                let mut lanes_b = [[0i64; NR]; R];
+                tile_mul_i16_with(tier, a_rows, exact, &mut lanes_a);
+                tile_mul_i16_with(tier, a_rows, padded, &mut lanes_b);
+                assert_eq!(lanes_a, lanes_b, "tier {tier} R={R}");
+            }
         }
+        check::<1>(&a, &exact, &padded);
+        check::<2>(&a, &exact, &padded);
+        check::<3>(&a, &exact, &padded);
+        check::<MR>(&a, &exact, &padded);
+        check::<MR8>(&a, &exact, &padded);
     }
 
     #[test]
@@ -573,7 +530,7 @@ mod tests {
     #[test]
     fn entry_point_tiers_are_consistent() {
         let tiers = entry_point_tiers();
-        assert_eq!(tiers.len(), 4);
+        assert_eq!(tiers.len(), 3);
         for (name, tier) in tiers {
             assert!(
                 available_tiers().contains(&tier),

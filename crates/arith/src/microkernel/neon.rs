@@ -10,23 +10,27 @@
 
 #![allow(unsafe_code)]
 
-use super::{scalar, MR, NR};
+use super::{scalar, NR};
 use std::arch::aarch64::*;
 
 /// NEON tier of `tile_mul_i16_with`: two K-depths × `NR` columns per
 /// step, one `vmull_s16` + `vmlal_s16` per row, widened via `vaddw_s32`.
 #[inline]
-pub fn tile_mul_i16_neon(a_rows: [&[i16]; MR], panel: &[i16], lanes: &mut [[i64; NR]; MR]) {
+pub fn tile_mul_i16_neon<const R: usize>(
+    a_rows: [&[i16]; R],
+    panel: &[i16],
+    lanes: &mut [[i64; NR]; R],
+) {
     let seg = a_rows[0].len();
     let pairs = seg & !1;
     unsafe {
         let p = panel.as_ptr();
-        let mut acc = [[vdupq_n_s64(0); 2]; MR];
+        let mut acc = [[vdupq_n_s64(0); 2]; R];
         let mut kk = 0usize;
         while kk < pairs {
             let b0 = vld1_s16(p.add(kk * NR)); // depth kk, NR columns
             let b1 = vld1_s16(p.add((kk + 1) * NR)); // depth kk+1
-            for r in 0..MR {
+            for r in 0..R {
                 let a0 = vdup_n_s16(*a_rows[r].get_unchecked(kk));
                 let a1 = vdup_n_s16(*a_rows[r].get_unchecked(kk + 1));
                 // Exact i32 column sums over the depth pair.
@@ -46,7 +50,7 @@ pub fn tile_mul_i16_neon(a_rows: [&[i16]; MR], panel: &[i16], lanes: &mut [[i64;
         }
     }
     if pairs < seg {
-        let sub: [&[i16]; MR] = std::array::from_fn(|r| &a_rows[r][pairs..]);
+        let sub: [&[i16]; R] = std::array::from_fn(|r| &a_rows[r][pairs..]);
         scalar::tile_mul_i16(sub, &panel[pairs * NR..], lanes);
     }
 }

@@ -11,16 +11,20 @@
 //! Contracts here are the relaxed module-level ones (`panel.len() ≥
 //! seg·NR`) — the public wrappers in [`super`] own the debug assertions.
 
-use super::{MR, NR};
+use super::NR;
 
 /// Scalar tier of `tile_mul_i16_with`: one `i16×i16→i32` FMA per
 /// product, widened to the `i64` lane once per term.
 #[inline]
-pub fn tile_mul_i16(a_rows: [&[i16]; MR], panel: &[i16], lanes: &mut [[i64; NR]; MR]) {
+pub fn tile_mul_i16<const R: usize>(
+    a_rows: [&[i16]; R],
+    panel: &[i16],
+    lanes: &mut [[i64; NR]; R],
+) {
     let seg = a_rows[0].len();
     for kk in 0..seg {
         let b = &panel[kk * NR..kk * NR + NR];
-        for r in 0..MR {
+        for r in 0..R {
             let av = a_rows[r][kk] as i32;
             for (c, lane) in lanes[r].iter_mut().enumerate() {
                 // i16×i16 → exact i32 product, widened once per lane.

@@ -25,16 +25,21 @@
 
 #![allow(unsafe_code)]
 
-use super::{scalar, MR, MR8, NR};
+use super::{scalar, NR};
 use std::arch::x86_64::*;
 
 /// Finishes the `seg % width` remainder depths through the scalar oracle
 /// (identical association order per term, so exactness is untouched).
 #[inline]
-fn scalar_tail(a_rows: [&[i16]; MR], panel: &[i16], lanes: &mut [[i64; NR]; MR], done: usize) {
+fn scalar_tail<const R: usize>(
+    a_rows: [&[i16]; R],
+    panel: &[i16],
+    lanes: &mut [[i64; NR]; R],
+    done: usize,
+) {
     let seg = a_rows[0].len();
     if done < seg {
-        let sub: [&[i16]; MR] = std::array::from_fn(|r| &a_rows[r][done..]);
+        let sub: [&[i16]; R] = std::array::from_fn(|r| &a_rows[r][done..]);
         scalar::tile_mul_i16(sub, &panel[done * NR..], lanes);
     }
 }
@@ -45,20 +50,24 @@ fn scalar_tail(a_rows: [&[i16]; MR], panel: &[i16], lanes: &mut [[i64; NR]; MR],
 ///
 /// SSE2 is part of the x86-64 baseline ABI, so this is a safe function.
 #[inline]
-pub fn tile_mul_i16_sse2(a_rows: [&[i16]; MR], panel: &[i16], lanes: &mut [[i64; NR]; MR]) {
+pub fn tile_mul_i16_sse2<const R: usize>(
+    a_rows: [&[i16]; R],
+    panel: &[i16],
+    lanes: &mut [[i64; NR]; R],
+) {
     let seg = a_rows[0].len();
     let pairs = seg & !1;
     unsafe {
         let p = panel.as_ptr();
         // Two 2×i64 accumulators per row = one i64 lane per column.
-        let mut acc = [[_mm_setzero_si128(); 2]; MR];
+        let mut acc = [[_mm_setzero_si128(); 2]; R];
         let mut kk = 0usize;
         while kk < pairs {
             // [c0..c3 | d0..d3] (depths kk, kk+1 × NR columns) →
             // [c0,d0,c1,d1,c2,d2,c3,d3]: each column's depth pair adjacent.
             let b = _mm_loadu_si128(p.add(kk * NR) as *const __m128i);
             let bi = _mm_unpacklo_epi16(b, _mm_unpackhi_epi64(b, b));
-            for r in 0..MR {
+            for r in 0..R {
                 let pair = (a_rows[r].as_ptr().add(kk) as *const i32).read_unaligned();
                 let prod = _mm_madd_epi16(_mm_set1_epi32(pair), bi);
                 // Widen the four i32 column sums to i64 before accumulating.
@@ -84,23 +93,34 @@ pub fn tile_mul_i16_sse2(a_rows: [&[i16]; MR], panel: &[i16], lanes: &mut [[i64;
 /// step. One 256-bit panel load covers depths `kk..kk+4`; each 128-bit
 /// half is interleaved like the SSE2 tier, and the A side broadcasts one
 /// depth pair per half. One `madd` then yields all four column sums for
-/// two depth pairs, widened and folded into a single 4×i64 accumulator.
+/// two depth pairs, widened and folded into one 4×i64 accumulator per
+/// row.
+///
+/// The panel load and its interleave are shared by all `R` rows, so a
+/// taller tile streams the panel fewer times per output row. At `R = 8`
+/// (the drive loop's [`super::MR8`] tile) the eight accumulators, the
+/// interleaved panel vector and the per-row temporaries still fit the
+/// sixteen ymm registers, so the inner loop stays spill-free.
 ///
 /// # Safety
 /// The caller must have verified AVX2 support (`dispatch::clamp` /
 /// `available_tiers`).
 #[target_feature(enable = "avx2")]
-pub unsafe fn tile_mul_i16_avx2(a_rows: [&[i16]; MR], panel: &[i16], lanes: &mut [[i64; NR]; MR]) {
+pub unsafe fn tile_mul_i16_avx2<const R: usize>(
+    a_rows: [&[i16]; R],
+    panel: &[i16],
+    lanes: &mut [[i64; NR]; R],
+) {
     let seg = a_rows[0].len();
     let quads = seg & !3;
     let p = panel.as_ptr();
-    let mut acc = [_mm256_setzero_si256(); MR];
+    let mut acc = [_mm256_setzero_si256(); R];
     let mut kk = 0usize;
     while kk < quads {
         let b = _mm256_loadu_si256(p.add(kk * NR) as *const __m256i);
         // Per 128-bit half: [c0..c3 | d0..d3] → [c0,d0,...,c3,d3].
         let bi = _mm256_unpacklo_epi16(b, _mm256_shuffle_epi32::<0xEE>(b));
-        for r in 0..MR {
+        for r in 0..R {
             let ar = a_rows[r].as_ptr().add(kk);
             let p0 = (ar as *const i32).read_unaligned();
             let p1 = (ar.add(2) as *const i32).read_unaligned();
@@ -121,59 +141,6 @@ pub unsafe fn tile_mul_i16_avx2(a_rows: [&[i16]; MR], panel: &[i16], lanes: &mut
         }
     }
     scalar_tail(a_rows, panel, lanes, quads);
-}
-
-/// AVX2 widened tier of `tile_mul_i16_x8_with`: the same four
-/// K-depths × `NR` columns per step as [`tile_mul_i16_avx2`], but the
-/// 256-bit panel load and its in-register interleave are amortized over
-/// *eight* A rows instead of four. The eight 4×i64 accumulators, the
-/// interleaved panel vector, and the per-row temporaries fit the sixteen
-/// ymm registers, so the inner loop stays spill-free while halving the
-/// panel-stream traffic per output row.
-///
-/// # Safety
-/// The caller must have verified AVX2 support (`dispatch::clamp` /
-/// `available_tiers`).
-#[target_feature(enable = "avx2")]
-pub unsafe fn tile_mul_i16_x8_avx2(
-    a_rows: [&[i16]; MR8],
-    panel: &[i16],
-    lo: &mut [[i64; NR]; MR],
-    hi: &mut [[i64; NR]; MR],
-) {
-    let seg = a_rows[0].len();
-    let quads = seg & !3;
-    let p = panel.as_ptr();
-    let mut acc = [_mm256_setzero_si256(); MR8];
-    let mut kk = 0usize;
-    while kk < quads {
-        let b = _mm256_loadu_si256(p.add(kk * NR) as *const __m256i);
-        // Per 128-bit half: [c0..c3 | d0..d3] → [c0,d0,...,c3,d3].
-        let bi = _mm256_unpacklo_epi16(b, _mm256_shuffle_epi32::<0xEE>(b));
-        for (row, accr) in a_rows.iter().zip(&mut acc) {
-            let ar = row.as_ptr().add(kk);
-            let p0 = (ar as *const i32).read_unaligned();
-            let p1 = (ar.add(2) as *const i32).read_unaligned();
-            let av = _mm256_set_m128i(_mm_set1_epi32(p1), _mm_set1_epi32(p0));
-            let prod = _mm256_madd_epi16(av, bi);
-            let plo = _mm256_cvtepi32_epi64(_mm256_castsi256_si128(prod));
-            let phi = _mm256_cvtepi32_epi64(_mm256_extracti128_si256::<1>(prod));
-            *accr = _mm256_add_epi64(*accr, _mm256_add_epi64(plo, phi));
-        }
-        kk += 4;
-    }
-    for (r, ar) in acc.iter().enumerate() {
-        let mut t = [0i64; NR];
-        _mm256_storeu_si256(t.as_mut_ptr() as *mut __m256i, *ar);
-        let lanes = if r < MR { &mut lo[r] } else { &mut hi[r - MR] };
-        for (lane, v) in lanes.iter_mut().zip(t) {
-            *lane += v;
-        }
-    }
-    let first: [&[i16]; MR] = std::array::from_fn(|r| a_rows[r]);
-    let second: [&[i16]; MR] = std::array::from_fn(|r| a_rows[MR + r]);
-    scalar_tail(first, panel, lo, quads);
-    scalar_tail(second, panel, hi, quads);
 }
 
 /// SSE2 tier of one [`super::dot_sval`] K-segment: 8 products per step

@@ -266,12 +266,13 @@ fn check_band_lanes(m: usize, k: usize, n: usize, dens: u64, seed: u64) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// [`check_band_lanes`] across shapes with `k` off the 4/8 grid, tag
-    /// densities from none to fully tagged lines, offsets spanning several
-    /// bands (and the Kulisch fallback).
+    /// [`check_band_lanes`] across shapes with `k` off the 4/8 grid, `m`
+    /// leaving a remainder tile of 1–3 rows alone or after a 4- or 8-row
+    /// tile, tag densities from none to fully tagged lines, offsets
+    /// spanning several bands (and the Kulisch fallback).
     #[test]
     fn band_lanes_match_the_plane_oracle(
-        m in prop::sample::select(vec![1usize, 3, 9, 64]),
+        m in prop::sample::select(vec![1usize, 2, 3, 6, 9, 10, 11, 64]),
         k4 in 0usize..24,
         k_off in 1usize..4,
         n in 1usize..14,

@@ -8,7 +8,7 @@
 use owlp_repro::arith::exact::exact_gemm;
 use owlp_repro::arith::gemm::{owlp_gemm, owlp_gemm_prepared_with, GemmScratch, PreparedTensor};
 use owlp_repro::arith::microkernel::{
-    self, available_tiers, dot_sval_with, tile_dot_i16_with, with_tier, KernelTier, MR, NR,
+    self, available_tiers, dot_sval_with, tile_dot_i16_with, with_tier, KernelTier, MR, MR8, NR,
 };
 use owlp_repro::arith::{KulischAcc, WindowAcc};
 use owlp_repro::format::Bf16;
@@ -145,7 +145,8 @@ proptest! {
     /// the extremes of their input contracts: svals sampled from
     /// {0, ±1, ±small, ±32752} (32752 is the maximum folded-significand
     /// magnitude, the bound the pairwise-madd no-wrap proof rests on),
-    /// at depths straddling the SIMD lane widths.
+    /// at depths straddling the SIMD lane widths, at every tile height
+    /// the drive loop runs (1, 2, 3, MR and MR8 rows).
     #[test]
     fn raw_kernels_agree_with_scalar_at_extreme_svals(
         k in 1usize..70,
@@ -159,23 +160,41 @@ proptest! {
             state ^= state << 17;
             EXTREMES[(state % EXTREMES.len() as u64) as usize]
         };
-        let rows: Vec<Vec<i16>> = (0..MR).map(|_| (0..k).map(|_| next()).collect()).collect();
+        let rows: Vec<Vec<i16>> = (0..MR8).map(|_| (0..k).map(|_| next()).collect()).collect();
         let panel: Vec<i16> = (0..k * NR).map(|_| next()).collect();
-        let a_rows: [&[i16]; MR] = std::array::from_fn(|r| rows[r].as_slice());
         let win0 = WindowAcc::new(0);
-        let oracle = tile_dot_i16_with(KernelTier::Scalar, a_rows, &panel, win0);
+        tile_agrees_with_scalar::<1>(&rows, &panel, win0)?;
+        tile_agrees_with_scalar::<2>(&rows, &panel, win0)?;
+        tile_agrees_with_scalar::<3>(&rows, &panel, win0)?;
+        tile_agrees_with_scalar::<MR>(&rows, &panel, win0)?;
+        tile_agrees_with_scalar::<MR8>(&rows, &panel, win0)?;
         let dot_oracle = dot_sval_with(KernelTier::Scalar, &rows[0], &rows[1], win0);
         for &tier in available_tiers() {
-            let wins = tile_dot_i16_with(tier, a_rows, &panel, win0);
-            for (wr, or) in wins.iter().zip(&oracle) {
-                for (w, o) in wr.iter().zip(or) {
-                    prop_assert_eq!(w.raw(), o.raw(), "tile_dot_i16 {} k={}", tier, k);
-                }
-            }
             let dot = dot_sval_with(tier, &rows[0], &rows[1], win0);
             prop_assert_eq!(dot.raw(), dot_oracle.raw(), "dot_sval {} k={}", tier, k);
         }
     }
+}
+
+/// An `R`-row `tile_dot_i16` over the first `R` of `rows` on every tier
+/// equals the scalar tier's, window for window.
+fn tile_agrees_with_scalar<const R: usize>(
+    rows: &[Vec<i16>],
+    panel: &[i16],
+    win0: WindowAcc,
+) -> Result<(), TestCaseError> {
+    let a_rows: [&[i16]; R] = std::array::from_fn(|r| rows[r].as_slice());
+    let k = rows[0].len();
+    let oracle = tile_dot_i16_with(KernelTier::Scalar, a_rows, panel, win0);
+    for &tier in available_tiers() {
+        let wins = tile_dot_i16_with(tier, a_rows, panel, win0);
+        for (wr, or) in wins.iter().zip(&oracle) {
+            for (w, o) in wr.iter().zip(or) {
+                prop_assert_eq!(w.raw(), o.raw(), "tile_dot_i16 {} R={} k={}", tier, R, k);
+            }
+        }
+    }
+    Ok(())
 }
 
 /// `with_tier` requests above what the host supports clamp to an
@@ -197,11 +216,12 @@ fn unavailable_tier_requests_clamp_and_stay_exact() {
 }
 
 /// Deterministic sweep of the exact MR/NR boundary shapes (1, MR−1, MR,
-/// MR+1, 2·MR+3, and the NR analogues) at the realistic density.
+/// MR+1, 2·MR+3, and the NR analogues) at the realistic density, plus
+/// a 2-row remainder tile alone (m = 2) and after 8 rows (m = 2·MR+2).
 #[test]
 fn edge_remainder_shapes_are_bit_exact() {
     let k = 19;
-    let ms = [1, MR - 1, MR, MR + 1, 2 * MR + 3];
+    let ms = [1, MR - 1, MR, MR + 1, 2 * MR + 3, 2, 2 * MR + 2];
     let ns = [1, NR - 1, NR, NR + 1, 2 * NR + 3];
     for (i, &m) in ms.iter().enumerate() {
         for (j, &n) in ns.iter().enumerate() {

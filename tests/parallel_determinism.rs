@@ -7,6 +7,7 @@
 //! serial run wholesale (`PartialEq` on the full outcome structs covers
 //! every field, including statistics counters).
 
+use owlp_repro::arith::gemm::{owlp_gemm_prepared_f32_with, GemmScratch, PreparedTensor};
 use owlp_repro::arith::{exact_gemm, owlp_gemm, KulischAcc};
 use owlp_repro::format::{encode_tensor, Bf16};
 use owlp_repro::par::with_threads;
@@ -159,6 +160,78 @@ proptest! {
             let owlp_bits: Vec<u32> = owlp.output.iter().map(|v| v.to_bits()).collect();
             prop_assert_eq!(&owlp_bits, &oracle, "owlp_gemm, {} threads, {}permille", t, permille);
         }
+    }
+}
+
+/// Two client threads run decode-shaped (`m = 1`) GEMMs on one shared,
+/// tagged weight at once, each fanning out onto the pool: the first calls
+/// race to build the weight's band memo, and whichever caller finds the
+/// pool's dispatch in flight runs serially. Every output must equal the
+/// single-thread output bit for bit, at 2 and 4 threads.
+#[test]
+fn concurrent_decode_callers_match_the_single_thread_output() {
+    const CALLS: usize = 20;
+    let (k, n) = (256, 512);
+    assert!(
+        2 * (k * n) as u64 >= owlp_repro::par::MIN_PARALLEL_OPS,
+        "each GEMM fans out"
+    );
+    let weight = tensor(k * n, 30, 0xDEC0DE);
+    let acts: Vec<Vec<f32>> = (0..4)
+        .map(|s| {
+            tensor(k, 30, 0xAC7 + s)
+                .iter()
+                .map(|x| x.to_f32())
+                .collect()
+        })
+        .collect();
+    let oracle_w = PreparedTensor::with_shape(&weight, k, n).unwrap();
+    let mut scratch = GemmScratch::default();
+    let want: Vec<_> = acts
+        .iter()
+        .map(|a| {
+            with_threads(1, || {
+                owlp_gemm_prepared_f32_with(a, &oracle_w, 1, k, n, &mut scratch).unwrap()
+            })
+        })
+        .collect();
+    assert!(
+        want.iter().all(|o| o.total_outlier_products > 0),
+        "the weight is tagged"
+    );
+    for threads in [2, 4] {
+        // A fresh weight per round, so its band memo is unbuilt when the
+        // callers start.
+        let shared = PreparedTensor::with_shape(&weight, k, n).unwrap();
+        assert!(shared.panels().unwrap().memoised_bands().is_none());
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for caller in 0..2 {
+                let (shared, acts, want, start) = (&shared, &acts, &want, &start);
+                s.spawn(move || {
+                    let mut scratch = GemmScratch::default();
+                    start.wait();
+                    with_threads(threads, || {
+                        for call in 0..CALLS {
+                            let x = (call + caller) % acts.len();
+                            let got = owlp_gemm_prepared_f32_with(
+                                &acts[x],
+                                shared,
+                                1,
+                                k,
+                                n,
+                                &mut scratch,
+                            )
+                            .unwrap();
+                            assert_eq!(
+                                got, want[x],
+                                "caller {caller} call {call}, {threads} threads"
+                            );
+                        }
+                    });
+                });
+            }
+        });
     }
 }
 
