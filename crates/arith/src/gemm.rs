@@ -109,7 +109,7 @@ impl PreparedTensor {
 
     /// Encodes, packs, **and panel-tiles** `t` as a `k×n` weight matrix:
     /// the microkernel panels are built once here and reused by every
-    /// [`owlp_gemm_prepared`] call, replacing the per-call (formerly
+    /// [`owlp_gemm_prepared_with`] call, replacing the per-call (formerly
     /// per-output-element) strided column gather.
     ///
     /// # Errors
@@ -160,28 +160,13 @@ pub struct GemmScratch {
     bf_a: Vec<Bf16>,
 }
 
-/// [`owlp_gemm`] with a pre-prepared weight tensor: only the activation
-/// side pays encode + pack, the weight side reuses its cached planes (and
-/// its memoised panels, when built via [`PreparedTensor::with_shape`]).
-///
-/// # Errors
-///
-/// As [`owlp_gemm`].
-pub fn owlp_gemm_prepared(
-    a: &[Bf16],
-    b: &PreparedTensor,
-    m: usize,
-    k: usize,
-    n: usize,
-) -> Result<OwlpGemmOutput, ArithError> {
-    let mut scratch = GemmScratch::default();
-    owlp_gemm_prepared_with(a, b, m, k, n, &mut scratch)
-}
-
-/// [`owlp_gemm_prepared`] with caller-owned activation scratch: a serving
-/// loop (e.g. the `owlp-core` transformer's per-layer sweep) keeps one
-/// [`GemmScratch`] alive so the per-step activation decode allocates
-/// nothing in steady state.
+/// [`owlp_gemm`] with a pre-prepared weight tensor and caller-owned
+/// activation scratch: only the activation side pays encode + pack, the
+/// weight side reuses its cached planes (and its memoised panels, when
+/// built via [`PreparedTensor::with_shape`]). A serving loop (e.g. the
+/// `owlp-core` transformer's per-layer sweep) keeps one [`GemmScratch`]
+/// alive so the per-step activation decode allocates nothing in steady
+/// state.
 ///
 /// # Errors
 ///
@@ -783,7 +768,8 @@ mod tests {
         assert!(shaped.panels().is_some());
         let mut scratch = GemmScratch::default();
         for a in &acts {
-            let fresh = owlp_gemm_prepared(a, &plain, m, k, n).unwrap();
+            let fresh =
+                owlp_gemm_prepared_with(a, &plain, m, k, n, &mut GemmScratch::default()).unwrap();
             let memo = owlp_gemm_prepared_with(a, &shaped, m, k, n, &mut scratch).unwrap();
             assert_eq!(
                 memo, fresh,
@@ -820,7 +806,9 @@ mod tests {
                 })
                 .collect();
             let rounded: Vec<Bf16> = a32.iter().map(|&x| Bf16::from_f32(x)).collect();
-            let via_bf16 = owlp_gemm_prepared(&rounded, &shaped, m, k, n).unwrap();
+            let via_bf16 =
+                owlp_gemm_prepared_with(&rounded, &shaped, m, k, n, &mut GemmScratch::default())
+                    .unwrap();
             let via_f32 =
                 owlp_gemm_prepared_f32_with(&a32, &shaped, m, k, n, &mut scratch).unwrap();
             assert_eq!(via_f32, via_bf16, "f32 entry must only move the rounding");
@@ -1007,7 +995,7 @@ mod tests {
         let shaped = PreparedTensor::with_shape(&b, k, n).unwrap();
         assert!(shaped.panels().unwrap().memoised_bands().is_none());
         let a: Vec<Bf16> = pa.to_bf16_vec();
-        owlp_gemm_prepared(&a, &shaped, m, k, n).unwrap();
+        owlp_gemm_prepared_with(&a, &shaped, m, k, n, &mut GemmScratch::default()).unwrap();
         assert!(shaped.panels().unwrap().memoised_bands().is_some());
     }
 

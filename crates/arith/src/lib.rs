@@ -72,8 +72,8 @@ pub use error::ArithError;
 pub use exact::{exact_dot, exact_gemm};
 pub use fpmac::{fp_mac_dot, fp_mac_gemm};
 pub use gemm::{
-    owlp_gemm, owlp_gemm_packed_abft, owlp_gemm_prepared, owlp_gemm_prepared_f32_with,
-    owlp_gemm_prepared_with, AbftSums, GemmScratch, LaneStrike, OwlpGemmOutput, PreparedTensor,
+    owlp_gemm, owlp_gemm_packed_abft, owlp_gemm_prepared_f32_with, owlp_gemm_prepared_with,
+    AbftSums, GemmScratch, LaneStrike, OwlpGemmOutput, PreparedTensor,
 };
 pub use kulisch::KulischAcc;
 pub use pe::{LaneProduct, PeConfig, ProcessingElement};

@@ -25,9 +25,10 @@
 //! ```
 //!
 //! `pack` writes the deterministic smoke model's weight planes into an
-//! archive-v2 file; `--verify` maps the archive back, checks every plane
-//! digest, and re-runs the transformer forward pass off the mapped planes
-//! bit-for-bit against the exact engine — the CI serving-cold-start gate.
+//! archive-v2 file; `--verify` maps the archive back, scrubs every plane
+//! and tile digest, reloads the transformer from it, and re-runs the
+//! forward pass off the mapped planes bit-for-bit against the exact engine
+//! — the CI serving-cold-start gate.
 //!
 //! `features` prints the detected CPU features, the kernel tier each
 //! microkernel entry point dispatches to, and the effective `OWLP_SIMD` /
@@ -115,9 +116,9 @@ const EXPERIMENTS: [(&str, Experiment); 18] = [
 
 /// `repro pack [--out PATH] [--verify]` — the offline half of the serving
 /// cold start: write the deterministic smoke model's weight planes into an
-/// archive-v2 file. With `--verify`, map the archive back, check
-/// every plane digest, serve a GEMM off the mapped planes, and re-run the
-/// transformer forward pass bit-for-bit against the exact engine.
+/// archive-v2 file. With `--verify`, map the archive back, scrub every
+/// plane and tile digest, reload the transformer from it, and re-run the
+/// forward pass off the mapped planes bit-for-bit against the exact engine.
 fn run_pack(args: &[String]) {
     use owlp_core::{GemmEngine, TinyConfig, TinyTransformer};
     use owlp_model::ModelId;
@@ -149,37 +150,7 @@ fn run_pack(args: &[String]) {
         return;
     }
 
-    // Digest-verified load through the serving path, plus one GEMM off
-    // the mapped planes.
-    let (served, cold) = match owlp_serve::ColdStart::measure(std::path::Path::new(out)) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("error: cold start failed: {e}");
-            std::process::exit(1);
-        }
-    };
-    if let Err(e) = owlp_serve::ServedWeights::load(std::path::Path::new(out)) {
-        eprintln!("error: a plane digest failed verification: {e}");
-        std::process::exit(1);
-    }
-    println!(
-        "cold start: {} tensors in {:.6}s (mmap {}), digest scrub ok",
-        cold.tensors, cold.load_s, cold.mapped,
-    );
-    // First sorted name is `layer0/w1`, whose k is the hidden dim.
-    let name = served
-        .names()
-        .into_iter()
-        .next()
-        .expect("model has tensors");
-    let k = cfg.hidden;
-    let acts: Vec<owlp_format::Bf16> = (0..4 * k)
-        .map(|i| owlp_format::Bf16::from_f32(0.25 + (i % 7) as f32 * 0.125))
-        .collect();
-    if let Err(e) = served.gemm(&name, &acts, 4) {
-        eprintln!("error: the served GEMM failed on {name}: {e}");
-        std::process::exit(1);
-    }
+    scrub_archive(out);
 
     // The end-to-end gate: a transformer rebuilt from the mapped archive
     // must equal the model that wrote it, and its OwL-P forward pass must
@@ -259,24 +230,31 @@ fn run_features(args: &[String]) {
         .position(|a| a == "--archive")
         .and_then(|i| args.get(i + 1))
     {
-        match owlp_format::MappedArchive::open(std::path::Path::new(path)) {
-            Ok(archive) => match archive.verify() {
-                Ok(report) => println!(
-                    "archive      : {path} ok — {} tensors, {} planes, {} tiles verified (mmap {})",
-                    report.tensors,
-                    report.planes,
-                    report.tiles,
-                    archive.was_mapped()
-                ),
-                Err(e) => {
-                    eprintln!("error: archive {path} failed its digest scrub: {e}");
-                    std::process::exit(1);
-                }
-            },
+        scrub_archive(path);
+    }
+}
+
+/// Scrubs the archive-v2 file at `path` (whole-plane and per-tile CRC32C
+/// digests) and prints what it verified; exits 2 if the file does not
+/// open and 1 if a digest fails.
+fn scrub_archive(path: &str) {
+    match owlp_format::MappedArchive::open(std::path::Path::new(path)) {
+        Ok(archive) => match archive.verify() {
+            Ok(report) => println!(
+                "archive      : {path} ok — {} tensors, {} planes, {} tiles verified (mmap {})",
+                report.tensors,
+                report.planes,
+                report.tiles,
+                archive.was_mapped()
+            ),
             Err(e) => {
-                eprintln!("error: cannot open archive {path}: {e}");
-                std::process::exit(2);
+                eprintln!("error: archive {path} failed its digest scrub: {e}");
+                std::process::exit(1);
             }
+        },
+        Err(e) => {
+            eprintln!("error: cannot open archive {path}: {e}");
+            std::process::exit(2);
         }
     }
 }

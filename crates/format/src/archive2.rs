@@ -615,20 +615,10 @@ impl MappedArchive {
         self.entries.is_empty()
     }
 
-    /// Archive file length in bytes.
-    pub fn file_len(&self) -> u64 {
-        self.file.len() as u64
-    }
-
     /// Whether the bytes are served by a real `mmap` (vs the aligned
     /// heap-read fallback).
     pub fn was_mapped(&self) -> bool {
         self.file.was_mapped()
-    }
-
-    /// `(k, n)` of tensor `name`, if present.
-    pub fn shape(&self, name: &str) -> Option<(usize, usize)> {
-        self.entry(name).ok().map(|e| (e.k as usize, e.n as usize))
     }
 
     fn entry(&self, name: &str) -> Result<&TensorEntry, ArchiveError> {
@@ -986,8 +976,10 @@ mod tests {
                 Err(ArchiveError::Format(FormatError::CorruptStream { .. }))
             )
         };
+        // The index abuts the footer: every bit of either breaks a check.
+        let index_off = u64::from_le_bytes(clean[footer..footer + 8].try_into().unwrap()) as usize;
         let (mut errors, mut loads) = (0, 0);
-        for byte in (0..HEADER_LEN as usize).chain(footer..clean.len()) {
+        for byte in (0..HEADER_LEN as usize).chain(index_off..clean.len()) {
             for bit in 0..8 {
                 let mut bytes = clean.clone();
                 bytes[byte] ^= 1 << bit;
@@ -1003,11 +995,11 @@ mod tests {
                 }
             }
         }
-        assert_eq!((errors, loads), (352, 64));
+        // 64 header (the other 64 load), 288 footer and 3,312 index flips.
+        assert_eq!((errors, loads), (352 + 3312, 64));
         // An index with a valid digest that claims u32::MAX sval tiles for
         // its first tensor: past the name, five u64 fields and six plane
         // descriptors.
-        let index_off = u64::from_le_bytes(clean[footer..footer + 8].try_into().unwrap()) as usize;
         let tiles_at = index_off + 2 + "w".len() + 5 * 8 + 6 * 24;
         let mut bytes = clean.clone();
         assert_eq!(bytes[tiles_at..tiles_at + 4], 2u32.to_le_bytes());
@@ -1053,20 +1045,28 @@ mod tests {
         write_archive(&path, &[("w", 16, 16)]);
         let bytes = std::fs::read(&path).unwrap();
         let truncated = temp_path("torn-cut");
-        std::fs::write(&truncated, &bytes[..bytes.len() - 10]).unwrap();
-        assert!(MappedArchive::open(&truncated).is_err());
+        let corrupt = |bytes: &[u8]| {
+            std::fs::write(&truncated, bytes).unwrap();
+            matches!(
+                MappedArchive::open(&truncated),
+                Err(ArchiveError::Format(FormatError::CorruptStream { .. }))
+            )
+        };
+        assert!(corrupt(&bytes[..bytes.len() - 10]), "truncated");
         let mut bad_magic = bytes.clone();
         bad_magic[0] = b'X';
-        std::fs::write(&truncated, &bad_magic).unwrap();
-        assert!(MappedArchive::open(&truncated).is_err());
+        assert!(corrupt(&bad_magic), "bad magic");
         // A flipped index byte breaks the index digest.
         let mut bad_index = bytes.clone();
         let idx = bad_index.len() - FOOTER_LEN - 4;
         bad_index[idx] ^= 1;
-        std::fs::write(&truncated, &bad_index).unwrap();
-        assert!(MappedArchive::open(&truncated).is_err());
+        assert!(corrupt(&bad_index), "flipped index byte");
         std::fs::remove_file(&truncated).unwrap();
         std::fs::remove_file(&path).unwrap();
+        assert!(matches!(
+            MappedArchive::open(&temp_path("torn-missing")),
+            Err(ArchiveError::Io(_))
+        ));
     }
 
     #[test]

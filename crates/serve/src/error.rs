@@ -21,12 +21,6 @@ pub enum ServeError {
     /// A worker thread panicked — a bug, surfaced instead of poisoning the
     /// collector.
     WorkerPanicked,
-    /// The weight archive failed to open, verify, or resolve a tensor
-    /// (rendered from the underlying [`owlp_format::ArchiveError`]).
-    Weights(String),
-    /// A functional GEMM against served weights failed (shape or
-    /// finiteness — rendered from the underlying `ArithError`).
-    Gemm(String),
 }
 
 impl fmt::Display for ServeError {
@@ -36,8 +30,6 @@ impl fmt::Display for ServeError {
             ServeError::InvalidPool(e) => write!(f, "invalid pool config: {e}"),
             ServeError::InvalidPolicy(e) => write!(f, "invalid recovery policy: {e}"),
             ServeError::WorkerPanicked => f.write_str("a pool worker panicked"),
-            ServeError::Weights(e) => write!(f, "weight archive error: {e}"),
-            ServeError::Gemm(e) => write!(f, "served gemm error: {e}"),
         }
     }
 }

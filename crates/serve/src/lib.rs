@@ -24,9 +24,12 @@
 //!   localized tile recompute).
 //! * [`metrics`] — nearest-rank percentile roll-ups: TTFT/TPOT/E2E at
 //!   p50/p95/p99, goodput, rejection rate; fault-run [`MetricsReport`]s.
-//! * [`weights`] — [`ServedWeights`]: the serving cold start off a packed
-//!   archive-v2 file — map, adopt planes, GEMM; no decode, no re-pack.
 //! * [`error`] — the crate-level [`ServeError`].
+//!
+//! The simulator prices requests through the cycle model and holds no
+//! weights. A functional forward pass loads its weights with
+//! `owlp_core::TinyTransformer::from_archive`, which maps an archive-v2
+//! file and runs every GEMM off the mapped planes.
 //!
 //! ```
 //! use owlp_core::Accelerator;
@@ -61,7 +64,6 @@ pub mod pool;
 pub mod request;
 pub mod scheduler;
 pub mod trace;
-pub mod weights;
 
 pub use cost::{CostModel, CostSource};
 pub use error::ServeError;
@@ -77,7 +79,6 @@ pub use scheduler::{
     SimOutcome,
 };
 pub use trace::{Trace, TraceError};
-pub use weights::{ColdStart, ServedWeights};
 
 use owlp_core::Accelerator;
 use owlp_model::{Dataset, ModelId};

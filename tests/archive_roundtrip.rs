@@ -1,13 +1,14 @@
 //! Integration: the zero-copy archive-v2 path — offline encode and write →
 //! mmap load → GEMM straight off the mapped planes — is bit-identical to
-//! the in-memory prepare path on every tensor shape, outlier density, SIMD
-//! tier, and thread count.
+//! the in-memory prepare path and to the exact engine on every tensor
+//! shape, outlier density, SIMD tier, and thread count.
 //!
 //! This is the storage analogue of `numerical_equivalence.rs`: the archive
 //! may change *where* the planes live (page cache instead of heap), but it
 //! must never change a single output bit.
 
-use owlp_repro::arith::gemm::{owlp_gemm_prepared, PreparedTensor};
+use owlp_repro::arith::exact_gemm;
+use owlp_repro::arith::gemm::{owlp_gemm_prepared_with, GemmScratch, PreparedTensor};
 use owlp_repro::arith::microkernel;
 use owlp_repro::format::{ArchiveWriter, Bf16, MappedArchive};
 use owlp_repro::par::with_threads;
@@ -46,9 +47,10 @@ proptest! {
     // Each case writes, maps, and deletes a file — keep the count modest.
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Mapped GEMM == owned GEMM, bit for bit, at every available SIMD
-    /// tier, serial and fanned out. Shapes deliberately straddle panel/tile remainders (the
-    /// microkernel's `PANEL_K_PAD` and the digest tile size).
+    /// Mapped GEMM == owned GEMM == the exact engine, bit for bit, at
+    /// every available SIMD tier, serial and fanned out. Shapes
+    /// deliberately straddle panel/tile remainders (the microkernel's
+    /// `PANEL_K_PAD` and the digest tile size).
     #[test]
     fn mapped_gemm_is_bit_identical_to_owned(
         seed in 0u64..1u64 << 48,
@@ -77,20 +79,31 @@ proptest! {
 
         let owned = PreparedTensor::with_shape(&b, k, n).expect("finite weights prepare");
         let mapped = PreparedTensor::from_mapped(mapped_t);
+        let golden = exact_gemm(&a, &b, m, k, n);
+        let mut scratch = GemmScratch::default();
         for &tier in microkernel::available_tiers() {
             for threads in [1, 4] {
                 let (ro, rm) = microkernel::with_tier(tier, || {
                     with_threads(threads, || {
-                        let ro = owlp_gemm_prepared(&a, &owned, m, k, n).expect("owned gemm");
-                        let rm = owlp_gemm_prepared(&a, &mapped, m, k, n).expect("mapped gemm");
+                        let ro = owlp_gemm_prepared_with(&a, &owned, m, k, n, &mut scratch)
+                            .expect("owned gemm");
+                        let rm = owlp_gemm_prepared_with(&a, &mapped, m, k, n, &mut scratch)
+                            .expect("mapped gemm");
                         (ro, rm)
                     })
                 });
-                for (x, y) in ro.output.iter().zip(&rm.output) {
+                for ((x, y), g) in ro.output.iter().zip(&rm.output).zip(&golden) {
                     prop_assert_eq!(
                         x.to_bits(),
                         y.to_bits(),
                         "tier {} at {} threads diverged",
+                        tier,
+                        threads
+                    );
+                    prop_assert_eq!(
+                        y.to_bits(),
+                        g.to_bits(),
+                        "tier {} at {} threads: mapped output differs from the exact engine",
                         tier,
                         threads
                     );
