@@ -89,13 +89,9 @@ impl FaultOutcome {
 }
 
 /// Injects `site` into operand `lane` of the activation vector and
-/// evaluates the dot product on a PE column.
-///
-/// # Panics
-///
-/// Panics if `lane` is out of range or the operand slices mismatch in
-/// length.
-pub fn inject_into_dot(
+/// evaluates the dot product on a PE column. `lane` must index `acts`, and
+/// `acts` and `wts` must have equal lengths.
+fn inject_into_dot(
     acts: &[DecodedOperand],
     wts: &[DecodedOperand],
     shared_a: u8,
@@ -122,27 +118,6 @@ pub fn inject_into_dot(
         relative_error: (observed as f64 - golden as f64).abs()
             / (golden.abs() as f64).max(f64::MIN_POSITIVE),
     }
-}
-
-/// Sweeps every fault site over one lane and returns the outcomes sorted by
-/// descending relative error — the sensitivity ranking.
-pub fn sensitivity_sweep(
-    acts: &[DecodedOperand],
-    wts: &[DecodedOperand],
-    shared_a: u8,
-    shared_w: u8,
-    lane: usize,
-) -> Vec<FaultOutcome> {
-    let mut outcomes: Vec<FaultOutcome> = FaultSite::all()
-        .into_iter()
-        .map(|site| inject_into_dot(acts, wts, shared_a, shared_w, lane, site))
-        .collect();
-    outcomes.sort_by(|a, b| {
-        b.relative_error
-            .partial_cmp(&a.relative_error)
-            .expect("errors are finite")
-    });
-    outcomes
 }
 
 /// One row of the criticality-ranked site table: how much damage a bit
@@ -253,23 +228,21 @@ mod tests {
 
     #[test]
     fn sensitivity_ranking_places_control_bits_first() {
-        // For an operand of moderate magnitude, the frame-level faults
-        // (tag, high exponent bits, shift) dominate data-bit faults.
-        let acts = operands(&[1.5, 2.0, 0.5, 1.0, 3.0, 0.25, 1.25, 2.5], 124);
-        let wts = operands(&[0.5, 1.0, 2.0, 4.0, 0.5, 4.0, 1.0, 0.5], 124);
-        let ranked = sensitivity_sweep(&acts, &wts, 124, 124, 3);
-        let top: Vec<FaultSite> = ranked.iter().take(3).map(|o| o.site).collect();
+        // The frame-level faults (high outlier-exponent bits, the shift
+        // bit) dominate data-bit faults, and the least sensitive site is
+        // the significand LSB.
+        let t = criticality_table();
+        let top: Vec<FaultSite> = t.iter().take(3).map(|r| r.site).collect();
         assert!(
-            top.iter().any(|s| matches!(
-                s,
-                FaultSite::OutlierTag | FaultSite::ShiftBit | FaultSite::Significand(9..=10)
-            )),
+            top.iter().all(|s| matches!(s, FaultSite::OutlierExp(5..))),
             "top sites {top:?}"
         );
-        // And the least sensitive site is a low significand bit (or a
-        // silent fault on unused outlier-exponent bits).
-        let bottom = ranked.last().unwrap();
-        assert!(bottom.relative_error <= ranked[0].relative_error);
+        let weight_of = |site: FaultSite| t.iter().find(|r| r.site == site).unwrap().weight;
+        let worst_data_bit = (0..DecodedOperand::MAG_BITS as u8)
+            .map(|b| weight_of(FaultSite::Significand(b)))
+            .fold(0.0, f64::max);
+        assert!(weight_of(FaultSite::ShiftBit) > worst_data_bit);
+        assert_eq!(t.last().unwrap().site, FaultSite::Significand(0));
     }
 
     #[test]

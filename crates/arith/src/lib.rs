@@ -8,8 +8,6 @@
 //!   GEMM built on the Kulisch accumulator.
 //! * [`fpmac`] — the baseline **BF16-multiply / FP32-accumulate** MAC of the
 //!   TPU-like comparison design (sequential rounding at every add).
-//! * [`pipeline`] — register-accurate 2-stage (OwL-P) and 4-stage (FMA)
-//!   PE pipeline timing models (paper Table V);
 //! * [`pe`] — the OwL-P processing element: 8-way INT dot product with
 //!   per-lane path selection and the `{0,4,8}`-bit post-multiply shifter
 //!   (paper Fig. 4a).
@@ -21,9 +19,7 @@
 //! * [`gemm`] — end-to-end functional GEMMs: `owlp_gemm` (encode → decode →
 //!   INT array → FP), the FP baseline, and the exact reference.
 //! * [`fault`] — fault-injection sensitivity analysis of the decoded
-//!   operand fields (which wires a real implementation should protect);
-//! * [`testbench`] — a coverage-driven randomized self-checking testbench
-//!   over the whole GEMM pipeline;
+//!   operand fields (which wires a real implementation should protect).
 //! * [`quant`] — the comparison schemes of paper Table I: plain INT8
 //!   quantization, INT8 + FP outliers, and block floating point.
 //!
@@ -62,9 +58,7 @@ pub mod kulisch;
 mod lanes;
 pub mod microkernel;
 pub mod pe;
-pub mod pipeline;
 pub mod quant;
-pub mod testbench;
 pub mod window;
 
 pub use align::{AlignUnit, Contribution};

@@ -31,14 +31,14 @@
 //!    Kulisch oracle is preserved by construction at every tier. The one
 //!    extra SIMD obligation, that `madd`'s intra-instruction `i32` pair
 //!    sum itself cannot wrap, follows from the sval bound
-//!    (`2·32752² < 2^31`; only `(-32768)²·2` would overflow) — see
-//!    [`x86`]'s module docs for the full argument.
+//!    (`2·32752² < 2^31`; only `(-32768)²·2` would overflow) — see the
+//!    module docs of `microkernel/x86.rs` for the full argument.
 //!
 //! ## Tiers and dispatch
 //!
 //! Every entry point has a scalar reference implementation ([`scalar`],
 //! the always-on oracle) plus optional SIMD tiers: SSE2 and AVX2 on
-//! x86-64 ([`x86`]), NEON on aarch64 ([`neon`]). A tier is selected once
+//! x86-64 (`x86.rs`), NEON on aarch64 (`neon.rs`). A tier is selected once
 //! per process ([`dispatch::selected_tier`]) from runtime CPU detection
 //! and the `OWLP_SIMD=scalar|sse2|avx2|neon|auto` override; tests force
 //! tiers per-scope with [`with_tier`]. The GEMM drive loop resolves the

@@ -1,7 +1,7 @@
 //! The scalar reference kernels — the always-on oracle.
 //!
 //! These are the PR5 register-tiled loops, verbatim: every SIMD tier in
-//! [`super::x86`] / [`super::neon`] is differential-tested against them
+//! `x86.rs` / `neon.rs` is differential-tested against them
 //! (`tests/microkernel_equivalence.rs`), and `OWLP_SIMD=scalar` forces
 //! them at runtime on any host. They carry the exactness contract the
 //! SIMD tiers inherit: products are exact in `i32`, `i64` lane sums are

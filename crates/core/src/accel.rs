@@ -275,7 +275,7 @@ impl Accelerator {
 
         // --- Effective time: double-buffered compute/transfer overlap
         // (steady state at the slower rate, plus one un-overlapped head
-        // fetch per op group; see `crate::timing`).
+        // fetch per op group).
         let transfer_cycles =
             (memory.transfer_seconds(dram_bytes) * self.array.clock_mhz * 1e6).ceil() as u64;
         let head_fetch = transfer_cycles / op.count.max(1);
@@ -508,5 +508,25 @@ mod tests {
             .map(|&c| o.class_cycle_share(c))
             .sum();
         assert!((share_sum - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn op_reports_sum_to_simulated_total() {
+        // `owlp-serve`'s closed-form cost model prices each op with
+        // `seconds_for(op_report(..).cycles)`; summed over a workload's
+        // ops that must reproduce `simulate` exactly.
+        let wl = workload::generation_workload(ModelId::Gpt2Base, 8, 64, 32);
+        for acc in [Accelerator::baseline(), Accelerator::owlp()] {
+            let report = acc.simulate(&wl, Dataset::WikiText2);
+            let ops: Vec<ClassReport> = wl
+                .ops
+                .iter()
+                .map(|op| acc.op_report(&wl, op, Dataset::WikiText2))
+                .collect();
+            let cycle_sum: u64 = ops.iter().map(|r| r.cycles).sum();
+            assert_eq!(cycle_sum, report.cycles);
+            let sec_sum: f64 = ops.iter().map(|r| acc.seconds_for(r.cycles)).sum();
+            assert!((sec_sum - report.seconds).abs() < 1e-9);
+        }
     }
 }

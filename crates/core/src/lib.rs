@@ -32,12 +32,10 @@
 pub mod accel;
 pub mod cosim;
 pub mod dse;
-pub mod isa;
 pub mod numeric;
 pub mod report;
 pub mod roofline;
 pub mod serving;
-pub mod timing;
 pub mod transformer;
 pub mod workloads;
 

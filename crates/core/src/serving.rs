@@ -4,7 +4,7 @@
 
 use crate::accel::Accelerator;
 use crate::report::SimulationReport;
-use owlp_model::{workload, Dataset, GemmOp, ModelId, OpClass, Phase, Workload};
+use owlp_model::{workload, Dataset, GemmOp, ModelId, Phase, Workload};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -128,47 +128,6 @@ pub fn simulate_serving(
     let wl = workload::generation_workload(model, batch, prompt_len, gen_len);
     let report = acc.simulate(&wl, dataset);
     serving_metrics(&report, &wl, gen_len).expect("generation workload yields valid metrics")
-}
-
-/// Cost of one workload op through the accelerator model — one row of the
-/// per-op cost table a serving scheduler prices iterations with.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
-pub struct OpCost {
-    /// The op (shape, repetitions, phase).
-    pub op: GemmOp,
-    /// Effective cycles across all repetitions (compute/transfer overlap).
-    pub cycles: u64,
-    /// Pure compute cycles.
-    pub compute_cycles: u64,
-    /// Wall-clock seconds at the design's frequency.
-    pub seconds: f64,
-}
-
-/// Per-op cycle costs of a workload on one design point.
-///
-/// Unlike [`Accelerator::simulate`], which folds everything into per-class
-/// totals, this keeps one entry per op so a scheduler can price individual
-/// prefill/decode iterations (and cache by shape).
-pub fn op_costs(acc: &Accelerator, workload: &Workload, dataset: Dataset) -> Vec<OpCost> {
-    workload
-        .ops
-        .iter()
-        .map(|op| {
-            let r = acc.op_report(workload, op, dataset);
-            OpCost {
-                op: *op,
-                cycles: r.cycles,
-                compute_cycles: r.compute_cycles,
-                seconds: acc.seconds_for(r.cycles),
-            }
-        })
-        .collect()
-}
-
-/// Share of decode time spent in attention — grows with context length and
-/// is the long-context bottleneck both designs share.
-pub fn attention_share(report: &SimulationReport) -> f64 {
-    report.class_cycle_share(OpClass::Attention)
 }
 
 #[cfg(test)]
@@ -305,19 +264,6 @@ mod tests {
             .map(|o| o.macs())
             .sum();
         assert!(tagged > heuristic, "{tagged} vs {heuristic}");
-    }
-
-    #[test]
-    fn op_costs_sum_to_simulated_total() {
-        let wl = workload::generation_workload(ModelId::Gpt2Base, 8, 64, 32);
-        let acc = Accelerator::owlp();
-        let report = acc.simulate(&wl, Dataset::WikiText2);
-        let costs = op_costs(&acc, &wl, Dataset::WikiText2);
-        assert_eq!(costs.len(), wl.ops.len());
-        let cycle_sum: u64 = costs.iter().map(|c| c.cycles).sum();
-        assert_eq!(cycle_sum, report.cycles);
-        let sec_sum: f64 = costs.iter().map(|c| c.seconds).sum();
-        assert!((sec_sum - report.seconds).abs() < 1e-9);
     }
 
     #[test]

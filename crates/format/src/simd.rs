@@ -1,5 +1,5 @@
 //! Runtime SIMD-tier selection shared by every vectorized path in the
-//! workspace, following the `owlp-integrity::crc` precedent (detect once,
+//! workspace, following the CRC32C engine in [`crate::crc`] (detect once,
 //! branch at the entry point, keep the software path as the oracle).
 //!
 //! Historically this module lived in `owlp-arith::microkernel::dispatch`

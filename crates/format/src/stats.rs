@@ -6,7 +6,7 @@
 //! Table II), and what the occurrence distribution looks like (Fig. 1).
 
 use crate::bf16::Bf16;
-use crate::shared_exp::{best_window, exponent_counts, ExponentWindow};
+use crate::shared_exp::{best_window, ExponentWindow};
 use serde::{Deserialize, Serialize};
 
 /// Occurrence counts of the 256 possible BF16 exponent fields, plus the
@@ -154,24 +154,22 @@ pub fn normal_ratio_of(data: &[Bf16]) -> (ExponentWindow, f64) {
     (w, r)
 }
 
-/// Cross-check helper: the window from [`ExponentHistogram::densest_window`]
-/// must agree with [`crate::select_window`]. Exposed for tests and the
-/// repro harness.
-pub fn window_agrees(data: &[Bf16]) -> bool {
-    let from_hist = ExponentHistogram::from_values(data).densest_window(crate::NORMAL_WINDOW_WIDTH);
-    let direct = {
-        let counts = exponent_counts(data);
-        best_window(&counts, crate::NORMAL_WINDOW_WIDTH)
-    };
-    from_hist == direct
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shared_exp::exponent_counts;
 
     fn bf(x: f32) -> Bf16 {
         Bf16::from_f32(x)
+    }
+
+    /// The window from [`ExponentHistogram::densest_window`] must agree
+    /// with [`crate::select_window`].
+    fn window_agrees(data: &[Bf16]) -> bool {
+        let from_hist =
+            ExponentHistogram::from_values(data).densest_window(crate::NORMAL_WINDOW_WIDTH);
+        let direct = best_window(&exponent_counts(data), crate::NORMAL_WINDOW_WIDTH);
+        from_hist == direct
     }
 
     #[test]

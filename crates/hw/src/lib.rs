@@ -8,9 +8,6 @@
 //!   fused MAC (4-stage) versus the OwL-P 8-way INT dot-product PE with
 //!   configurable outlier paths (2-stage) — reproducing Fig. 9's area/power
 //!   scaling versus the number of outlier paths;
-//! * [`aux`] — component models of the non-MAC units (decoders, data
-//!   setup, outlier scheduler, align/INT2FP, output encoder) checking the
-//!   Table V "Datasetup"/"Others" buckets;
 //! * [`design`] — array- and chip-level roll-up: MAC array, data setup,
 //!   decoder/align/INT2FP ("others") and layout overhead, reproducing the
 //!   Table V comparison;
@@ -39,7 +36,6 @@
 //! assert!(density > 2.5 && density < 3.6);
 //! ```
 
-pub mod aux;
 pub mod design;
 pub mod energy;
 pub mod memory;

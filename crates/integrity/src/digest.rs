@@ -13,7 +13,7 @@
 //! detector is the ABFT checksum ([`crate::abft`]), whose cost amortizes
 //! against the `O(m·k·n)` kernel.
 
-use crate::crc::{crc32c_bytes, crc32c_i16, crc32c_u16, crc32c_u32};
+use owlp_format::crc::{crc32c_bytes, crc32c_i16, crc32c_u16, crc32c_u32};
 use owlp_format::{PackedOperands, PackedPanels, PackedPlane};
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
@@ -171,10 +171,10 @@ impl OperandDigests {
     /// Verifies the planes the GEMM fast path *reads*: the `sval` tiles,
     /// the `meta` side-band, and both outlier side tables — everything
     /// whose corruption can reach an output value. The `mag` plane is a
-    /// repair source, not a compute input: it is covered by [`verify`] at
+    /// repair source, not a compute input: it is covered by [`Self::verify`] at
     /// repair and scrub boundaries, where its digest gates the in-place
     /// `sval` rebuild. This is the check the per-GEMM overhead budget
-    /// prices; [`verify`] is the full storage scrub.
+    /// prices; [`Self::verify`] is the full storage scrub.
     ///
     /// # Errors
     ///

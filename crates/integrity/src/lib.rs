@@ -37,14 +37,12 @@
 
 pub mod abft;
 pub mod checked;
-pub mod crc;
 pub mod digest;
 pub mod profile;
 pub mod sweep;
 pub mod workload;
 
 pub use checked::{Detector, GuardedGemm, GuardedRun, IntegrityConfig, Strike};
-pub use crc::{crc32c, crc32c_bytes};
 pub use digest::{IntegrityError, OperandDigests, PanelDigests, SVAL_TILE};
 pub use profile::{DetectionProfile, SiteProfile};
 pub use sweep::{fault_sweep, ClassCoverage, SweepReport};

@@ -371,8 +371,8 @@ mod tests {
         }
     }
 
-    /// Mirror of `owlp_core::timing::double_buffered_cycles` (owlp-mem
-    /// sits below owlp-core in the crate DAG, so restate the formula).
+    /// Closed-form double buffering: one un-overlapped head fetch, then
+    /// every group at the slower of its compute and fetch rates.
     fn double_buffered(compute_one: u64, fetch_one: u64, groups: u64) -> u64 {
         fetch_one + groups * compute_one.max(fetch_one)
     }

@@ -11,7 +11,6 @@
 //! beyond its capacity spill off chip and are re-fetched burst by burst,
 //! inflating the group's traffic.
 
-use owlp_hw::memory::OutlierBuffer;
 use owlp_hw::MemorySystem;
 use serde::{Deserialize, Serialize};
 
@@ -69,12 +68,6 @@ pub fn tile_outlier_entries(elements: u64, rate: f64) -> usize {
     (elements as f64 * rate.clamp(0.0, 1.0)).ceil() as usize
 }
 
-/// Convenience: the spill bytes `buffer` adds for a tile of `elements`
-/// values at outlier `rate` (zero whenever the buffer holds them all).
-pub fn spill_bytes(buffer: &OutlierBuffer, elements: u64, rate: f64) -> u64 {
-    buffer.overflow_bytes(tile_outlier_entries(elements, rate))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -123,7 +116,8 @@ mod tests {
         assert_eq!(plan.group_bytes, 1024 + plan.overflow_bytes);
         // At paper outlier rates (~1.5 %) a full tile set never spills.
         let tile_elements = (48 * 4 * 32 * 8) as u64;
-        assert_eq!(spill_bytes(&mem.outlier_buffer, tile_elements, 0.015), 0);
+        let entries = tile_outlier_entries(tile_elements, 0.015);
+        assert_eq!(mem.outlier_buffer.overflow_bytes(entries), 0);
     }
 
     #[test]

@@ -182,7 +182,7 @@ struct PoolState {
 /// The process-wide persistent worker pool.
 ///
 /// Workers are spawned on first demand (up to the requested budget, capped
-/// at [`MAX_POOL_THREADS`]) and then parked on a condvar between jobs —
+/// at `MAX_POOL_THREADS`) and then parked on a condvar between jobs —
 /// reused across every parallel call for the life of the process, which is
 /// what makes many-small-dispatch hot paths (event-sim column passes)
 /// profitable at all.

@@ -17,8 +17,8 @@
 //! * **transient iteration failures & SDCs** — per-iteration events. A
 //!   transient failure costs one victim request its iteration and sends it
 //!   through bounded retry with exponential backoff; an SDC strikes either
-//!   an accumulator lane or a [`FaultSite`] drawn from the `owlp-arith`
-//!   criticality table, and its fate comes from the **measured**
+//!   an accumulator lane or a [`FaultSite`](SdcSite) drawn from the
+//!   `owlp-arith` criticality table, and its fate comes from the **measured**
 //!   [`owlp_integrity::DetectionProfile`] of the policy's armed detectors
 //!   (side-band parity, plane CRCs, ABFT checksums) — real injections into
 //!   real GEMMs, not a coverage coin flip. Detected-and-localized strikes

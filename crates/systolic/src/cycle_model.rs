@@ -98,28 +98,6 @@ pub fn cycles_with_overhead(
     }
 }
 
-/// Cycle count under an **output-stationary** dataflow, for comparison
-/// with the paper's weight-stationary choice: each `R×C` PE tile holds an
-/// output block while the reduction dimension streams through at `lanes`
-/// elements per PE per cycle:
-///
-/// ```text
-/// T_os = (⌈K / lanes⌉ + R + C − 2) × ⌈M / R⌉ × ⌈N / C⌉
-/// ```
-///
-/// OwL-P's outlier bypass does not map onto OS — outlier products would
-/// need per-PE storage for a whole K pass instead of riding the psum
-/// wavefront — so this serves as an architectural ablation only (it is why
-/// the paper's design is weight-stationary).
-pub fn cycles_os(cfg: &ArrayConfig, m: usize, k: usize, n: usize) -> u64 {
-    if m == 0 || k == 0 || n == 0 {
-        return 0;
-    }
-    let per_tile = (k as u64).div_ceil(cfg.lanes as u64) + (cfg.rows + cfg.cols) as u64 - 2;
-    let tiles = (m as u64).div_ceil(cfg.rows as u64) * (n as u64).div_ceil(cfg.cols as u64);
-    per_tile * tiles.div_ceil(cfg.num_arrays as u64)
-}
-
 /// MAC-array utilisation of a GEMM under Eq. (3): useful MAC operations
 /// divided by available MAC-cycles. Exposes why small-`M` decode phases are
 /// memory/fill-bound.
@@ -215,33 +193,6 @@ mod tests {
         let b = cycles_with_overhead(&cfg, 512, 768, 768, 1.0, 1.0);
         let s = b.seconds(cfg.clock_mhz);
         assert!((s - b.total_parallel as f64 / 500.0e6).abs() < 1e-15);
-    }
-
-    #[test]
-    fn output_stationary_comparison() {
-        let cfg = ArrayConfig::OWLP_PAPER;
-        // On pure cycle counts the two dataflows are comparable: OS
-        // amortises long K per output tile (it wins the fill-overhead game
-        // on small-M decode shapes), WS is slightly ahead on prefill. The
-        // decisive argument for WS in OwL-P is *architectural*, not cycles:
-        // the outlier bypass rides the WS psum wavefront, and OS would need
-        // per-PE FP accumulation plus outlier storage across the whole K
-        // pass — exactly the hardware the paper removes.
-        let ws_prefill = cycles_eq3(&cfg, 4096, 4096, 12288);
-        let os_prefill = cycles_os(&cfg, 4096, 4096, 12288);
-        assert!(
-            ws_prefill <= os_prefill,
-            "ws {ws_prefill} vs os {os_prefill}"
-        );
-        let ws_decode = cycles_eq3(&cfg, 32, 4096, 4096);
-        let os_decode = cycles_os(&cfg, 32, 4096, 4096);
-        assert!(os_decode < ws_decode, "os {os_decode} vs ws {ws_decode}");
-        // Both within 2× of each other in either regime.
-        assert!(ws_decode < 2 * os_decode);
-        assert!(os_prefill < 2 * ws_prefill);
-        // Zero shapes cost nothing; K scaling is monotone.
-        assert_eq!(cycles_os(&cfg, 0, 4, 4), 0);
-        assert!(cycles_os(&cfg, 64, 2048, 512) < cycles_os(&cfg, 64, 4096, 512));
     }
 
     #[test]

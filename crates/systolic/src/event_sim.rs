@@ -112,77 +112,6 @@ pub fn simulate_gemm_unscheduled(
     run(cfg, a, b, m, k, n, false)
 }
 
-/// Simulates the **FP baseline** array (single-MAC BF16×BF16 PEs with FP32
-/// partial sums flowing down the column): outputs are accumulated in K
-/// order with one FP32 rounding per PE — exactly the arithmetic of
-/// `owlp_arith::fp_mac_gemm`, which this simulation must (and does,
-/// per the tests) reproduce bit-for-bit. Cycle accounting follows Eq. (3).
-///
-/// # Errors
-///
-/// Shape mismatches as [`simulate_gemm`].
-pub fn simulate_gemm_fp_baseline(
-    cfg: &ArrayConfig,
-    a: &[Bf16],
-    b: &[Bf16],
-    m: usize,
-    k: usize,
-    n: usize,
-) -> Result<EventSimResult, ArithError> {
-    check(a.len() == m * k, "A", m * k, a.len())?;
-    check(b.len() == k * n, "B", k * n, b.len())?;
-    if m == 0 || k == 0 || n == 0 {
-        return Ok(EventSimResult {
-            cycles: 0,
-            outputs: vec![0.0; m * n],
-            max_wavefront_occupancy: 0,
-            conflict_free: true,
-            streamed_rows: 0,
-            physical_columns: 0,
-            fold_cycles: Vec::new(),
-        });
-    }
-    // The baseline covers `rows` K-elements per fold (one MAC per PE).
-    let k_tile = cfg.rows;
-    let tiles = k.div_ceil(k_tile);
-    let mut outputs = vec![0.0f32; m * n];
-    let mut cycles = 0u64;
-    let mut streamed_rows = 0u64;
-    let mut physical_columns = 0u64;
-    let mut fold_cycles = Vec::new();
-    for t in 0..tiles {
-        let lo = t * k_tile;
-        let hi = (lo + k_tile).min(k);
-        physical_columns += n as u64;
-        for fold_cols in (0..n).collect::<Vec<_>>().chunks(cfg.cols) {
-            let fold = (2 * cfg.rows + cfg.cols) as u64 + m as u64 - 2;
-            cycles += fold;
-            fold_cycles.push(fold);
-            streamed_rows += m as u64;
-            for i in 0..m {
-                for &j in fold_cols {
-                    // Partial sum flows down the column: one FP32 add per
-                    // PE, in K order.
-                    let mut psum = outputs[i * n + j];
-                    for kk in lo..hi {
-                        psum += a[i * k + kk].to_f32() * b[kk * n + j].to_f32();
-                    }
-                    outputs[i * n + j] = psum;
-                }
-            }
-        }
-    }
-    Ok(EventSimResult {
-        cycles,
-        outputs,
-        max_wavefront_occupancy: 0,
-        conflict_free: true,
-        streamed_rows,
-        physical_columns,
-        fold_cycles,
-    })
-}
-
 fn check(cond: bool, what: &'static str, expected: usize, actual: usize) -> Result<(), ArithError> {
     if cond {
         Ok(())
@@ -481,36 +410,20 @@ mod tests {
     }
 
     #[test]
-    fn fp_baseline_sim_reproduces_sequential_fp_gemm() {
-        use owlp_arith::fpmac::fp_mac_gemm;
-        let cfg = ArrayConfig::small(4, 4, 1);
-        let (m, k, n) = (6, 20, 5);
-        let a = synth(m * k, 11, 7);
-        let b = synth(k * n, 12, 9);
-        let sim = simulate_gemm_fp_baseline(&cfg, &a, &b, m, k, n).unwrap();
-        let reference = fp_mac_gemm(&a, &b, m, k, n);
-        for (x, y) in sim.outputs.iter().zip(&reference) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-        // Cycle count follows Eq. (3).
-        let eq3 = cycles_with_overhead(&cfg, m, k, n, 1.0, 1.0);
-        assert_eq!(sim.cycles, eq3.total);
-    }
-
-    #[test]
     fn fp_baseline_differs_from_owlp_on_cancellation_heavy_inputs() {
-        let cfg = ArrayConfig::small(4, 4, 1);
+        use owlp_arith::fpmac::fp_mac_gemm;
         let owlp_cfg = ArrayConfig::small(2, 4, 8);
         let (m, k, n) = (1, 12, 1);
         let mut a = vec![Bf16::from_f32(0.5); m * k];
         a[0] = Bf16::from_f32(1.0e30);
         a[11] = Bf16::from_f32(-1.0e30);
         let b = vec![Bf16::from_f32(1.0); k * n];
-        let fp = simulate_gemm_fp_baseline(&cfg, &a, &b, m, k, n).unwrap();
+        let fp = fp_mac_gemm(&a, &b, m, k, n);
         let owlp = simulate_gemm(&owlp_cfg, &a, &b, m, k, n).unwrap();
-        // Exact: 10 × 0.5 = 5.0 survives on OwL-P; the FP column loses it.
+        // Exact: 10 × 0.5 = 5.0 survives on OwL-P; the sequential FP32
+        // accumulation of the baseline column loses it.
         assert_eq!(owlp.outputs[0], 5.0);
-        assert_eq!(fp.outputs[0], 0.0);
+        assert_eq!(fp[0], 0.0);
     }
 
     #[test]
@@ -534,7 +447,7 @@ mod tests {
     }
 
     #[test]
-    fn fold_cycles_sum_to_total_on_both_datapaths() {
+    fn fold_cycles_sum_to_total() {
         let cfg = ArrayConfig::small(3, 2, 4);
         let (m, k, n) = (5, 26, 9);
         let a = synth(m * k, 21, 6);
@@ -542,9 +455,6 @@ mod tests {
         let owlp = simulate_gemm(&cfg, &a, &b, m, k, n).unwrap();
         assert_eq!(owlp.fold_cycles.iter().sum::<u64>(), owlp.cycles);
         assert!(!owlp.fold_cycles.is_empty());
-        let fp = simulate_gemm_fp_baseline(&cfg, &a, &b, m, k, n).unwrap();
-        assert_eq!(fp.fold_cycles.iter().sum::<u64>(), fp.cycles);
-        assert_eq!(fp.fold_cycles.len() as u64, fp.streamed_rows / m as u64);
     }
 
     #[test]

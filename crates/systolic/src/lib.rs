@@ -13,8 +13,6 @@
 //!   wavefront; computes `T_a`, `T_w` and therefore `r_a`, `r_w`.
 //! * [`trace`] — VCD waveform dumps of simulated GEMMs (fold activity,
 //!   streamed rows, zero insertions, outlier wavefront occupancy);
-//! * [`traces`] — ScaleSIM-style per-cycle operand access traces (ifmap /
-//!   filter / ofmap) and bandwidth-demand profiles;
 //! * [`event_sim`] — an independent cycle-accurate event-driven simulation
 //!   of a (small) array that tracks outlier-path occupancy per PE per cycle,
 //!   verifies the scheduler's no-conflict guarantee, reproduces the GEMM
@@ -33,7 +31,6 @@ pub mod cycle_model;
 pub mod event_sim;
 pub mod schedule;
 pub mod trace;
-pub mod traces;
 
 pub use config::ArrayConfig;
 pub use cycle_model::{cycles_eq3, cycles_eq4, CycleBreakdown};
