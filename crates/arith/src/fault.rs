@@ -69,21 +69,24 @@ impl FaultSite {
 }
 
 /// Outcome of injecting one fault into one dot product.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct FaultOutcome {
-    /// The injected site.
-    pub site: FaultSite,
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct FaultOutcome {
     /// Fault-free result.
-    pub golden: f32,
+    golden: f32,
     /// Faulty result.
-    pub observed: f32,
-    /// `|observed − golden| / max(|golden|, ε)`.
-    pub relative_error: f64,
+    observed: f32,
 }
 
 impl FaultOutcome {
+    /// `|observed − golden| / max(|golden|, ε)`.
+    fn relative_error(&self) -> f64 {
+        (self.observed as f64 - self.golden as f64).abs()
+            / (self.golden.abs() as f64).max(f64::MIN_POSITIVE)
+    }
+
     /// Whether the fault was silent (no output change).
-    pub fn silent(&self) -> bool {
+    #[cfg(test)]
+    fn silent(&self) -> bool {
         self.observed.to_bits() == self.golden.to_bits()
     }
 }
@@ -111,13 +114,7 @@ fn inject_into_dot(
     let observed = column
         .compute_unchecked(&faulty, wts, shared_a, shared_w)
         .value;
-    FaultOutcome {
-        site,
-        golden,
-        observed,
-        relative_error: (observed as f64 - golden as f64).abs()
-            / (golden.abs() as f64).max(f64::MIN_POSITIVE),
-    }
+    FaultOutcome { golden, observed }
 }
 
 /// One row of the criticality-ranked site table: how much damage a bit
@@ -161,7 +158,7 @@ pub fn criticality_table() -> Vec<SiteCriticality> {
         .into_iter()
         .map(|site| {
             let mean = (0..lanes)
-                .map(|lane| inject_into_dot(&acts, &wts, BASE, BASE, lane, site).relative_error)
+                .map(|lane| inject_into_dot(&acts, &wts, BASE, BASE, lane, site).relative_error())
                 .sum::<f64>()
                 / lanes as f64;
             SiteCriticality {
@@ -194,7 +191,7 @@ mod tests {
         let acts = operands(&[1.0, 2.0, 3.0, 4.0, 1.0, 2.0, 3.0, 4.0], 124);
         let wts = operands(&[1.0; 8], 124);
         let out = inject_into_dot(&acts, &wts, 124, 124, 2, FaultSite::OutlierTag);
-        assert!(out.relative_error > 0.05, "{out:?}");
+        assert!(out.relative_error() > 0.05, "{out:?}");
     }
 
     #[test]
@@ -203,7 +200,7 @@ mod tests {
         let wts = operands(&[1.0; 8], 124);
         let out = inject_into_dot(&acts, &wts, 124, 124, 0, FaultSite::Significand(0));
         // One ulp of a 1.0 operand against a sum of 20: ≤ 1/128/20.
-        assert!(out.relative_error < 1e-2, "{out:?}");
+        assert!(out.relative_error() < 1e-2, "{out:?}");
         assert!(!out.silent());
     }
 

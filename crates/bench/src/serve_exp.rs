@@ -49,6 +49,7 @@ fn pool() -> PoolConfig {
             max_batch: 16,
             queue_capacity: 32,
         },
+        ..PoolConfig::default()
     }
 }
 
@@ -72,6 +73,7 @@ pub fn run() -> LoadSweep {
             let serve = |acc: Accelerator| {
                 serve_trace(acc, ModelId::Gpt2Base, Dataset::WikiText2, &pool(), &trace)
                     .expect("sweep pool config is valid")
+                    .summary
             };
             LoadPoint {
                 offered_rps: rate,

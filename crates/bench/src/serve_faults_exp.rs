@@ -17,8 +17,8 @@ use crate::SEED;
 use owlp_core::Accelerator;
 use owlp_model::{Dataset, ModelId};
 use owlp_serve::{
-    serve_trace_faulty, ArrivalProcess, FaultPoolConfig, FaultSpec, LengthDistribution,
-    MetricsReport, PoolConfig, RecoveryPolicy, Request, SchedulerConfig, TraceSpec,
+    serve_trace, ArrivalProcess, FaultSpec, LengthDistribution, MetricsReport, PoolConfig,
+    RecoveryPolicy, Request, SchedulerConfig, TraceSpec,
 };
 use serde::Serialize;
 
@@ -107,6 +107,7 @@ fn pool() -> PoolConfig {
             max_batch: 16,
             queue_capacity: 32,
         },
+        ..PoolConfig::default()
     }
 }
 
@@ -121,7 +122,7 @@ fn trace() -> Vec<Request> {
     .generate()
 }
 
-fn config_for(level: &FaultLevel, horizon_s: f64) -> FaultPoolConfig {
+fn config_for(level: &FaultLevel, horizon_s: f64) -> PoolConfig {
     let pool = pool();
     let spec = FaultSpec {
         seed: SEED ^ 0xFA_17,
@@ -133,14 +134,14 @@ fn config_for(level: &FaultLevel, horizon_s: f64) -> FaultPoolConfig {
         iter_fail_permille: level.iter_fail_permille,
         sdc_permille: level.sdc_permille,
     };
-    FaultPoolConfig {
+    PoolConfig {
         plan: spec.plan(pool.workers),
         recovery: RecoveryPolicy {
             deadline_s: Some(2.0),
             ..RecoveryPolicy::default()
         },
         failover_delay_s: 0.05,
-        pool,
+        ..pool
     }
 }
 
@@ -153,7 +154,7 @@ pub fn run() -> FaultSweep {
         .map(|level| {
             let cfg = config_for(level, horizon);
             let serve = |acc: Accelerator| {
-                serve_trace_faulty(acc, ModelId::Gpt2Base, Dataset::WikiText2, &cfg, &trace)
+                serve_trace(acc, ModelId::Gpt2Base, Dataset::WikiText2, &cfg, &trace)
                     .expect("sweep fault config is valid")
             };
             FaultPoint {

@@ -12,7 +12,7 @@
 
 use crate::accel::Accelerator;
 use owlp_mem::tiles::tile_outlier_entries;
-use owlp_mem::{CosimEngine, PhaseClass, PhaseResult, PhaseSpec, RooflineReport};
+use owlp_mem::{CosimEngine, PhaseClass, PhaseSpec, RooflineReport};
 use owlp_model::profiles::Dataset;
 use owlp_model::{GemmOp, Phase, Workload};
 use owlp_systolic::cycle_model;
@@ -78,29 +78,6 @@ pub fn op_phase_spec(
     }
 }
 
-/// Co-simulates one op and returns its phase result.
-pub fn op_cosim(
-    acc: &Accelerator,
-    workload: &Workload,
-    op: &GemmOp,
-    dataset: Dataset,
-) -> PhaseResult {
-    engine_for(acc).run_phase(&op_phase_spec(acc, workload, op, dataset))
-}
-
-/// Wall-clock seconds of one op under the co-sim makespan — the drop-in
-/// replacement for pricing via `op_report(..).cycles`.
-pub fn op_cosim_seconds(
-    acc: &Accelerator,
-    workload: &Workload,
-    op: &GemmOp,
-    dataset: Dataset,
-) -> f64 {
-    let engine = engine_for(acc);
-    let r = engine.run_phase(&op_phase_spec(acc, workload, op, dataset));
-    engine.seconds(r.makespan)
-}
-
 /// Co-simulates a whole workload and aggregates the per-op results into a
 /// roofline report (per-phase-class verdicts included).
 pub fn cosim_workload(acc: &Accelerator, workload: &Workload, dataset: Dataset) -> RooflineReport {
@@ -157,7 +134,7 @@ mod tests {
         for acc in [Accelerator::owlp(), Accelerator::baseline()] {
             let engine = engine_for(&acc);
             for op in &wl.ops {
-                let r = op_cosim(&acc, &wl, op, Dataset::WikiText2);
+                let r = engine.run_phase(&op_phase_spec(&acc, &wl, op, Dataset::WikiText2));
                 let closed = engine.transfer_cycles(r.fetched_bytes);
                 assert!(
                     r.memory_cycles >= closed - 1e-6 * closed.max(1.0),
@@ -178,8 +155,10 @@ mod tests {
         // and channel quantisation, so the ratio stays near 1.
         let wl = workload::generation_workload(ModelId::Llama2_7b, PAPER_BATCH, 128, 16);
         let acc = Accelerator::owlp();
+        let engine = engine_for(&acc);
         for op in &wl.ops {
-            let cosim = op_cosim_seconds(&acc, &wl, op, Dataset::WikiText2);
+            let r = engine.run_phase(&op_phase_spec(&acc, &wl, op, Dataset::WikiText2));
+            let cosim = engine.seconds(r.makespan);
             let closed = acc.seconds_for(acc.op_report(&wl, op, Dataset::WikiText2).cycles);
             let ratio = cosim / closed;
             assert!(

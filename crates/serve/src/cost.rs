@@ -17,97 +17,43 @@
 //! tables small; the cache is behind a `parking_lot` mutex so one cost
 //! model can serve all pool workers.
 
-use owlp_core::{cosim, Accelerator};
+use owlp_core::Accelerator;
 use owlp_model::{workload, Dataset, GemmOp, ModelId, OpClass, Workload};
 use parking_lot::Mutex;
 use std::collections::HashMap;
-
-/// Which latency model prices the iterations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CostSource {
-    /// The closed-form `max(compute, transfer)` overlap of
-    /// [`Accelerator::simulate`] (the default, and the fallback bound).
-    #[default]
-    ClosedForm,
-    /// The event-driven `owlp-mem` co-simulation: per-channel burst
-    /// timing, prefetch depth, and outlier spill, via
-    /// [`owlp_core::cosim::op_cosim_seconds`].
-    Cosim,
-}
 
 /// Memoised iteration prices for one (design, model, dataset) triple.
 pub struct CostModel {
     acc: Accelerator,
     model: ModelId,
     dataset: Dataset,
-    source: CostSource,
     prefill: Mutex<HashMap<(usize, usize), f64>>,
     projection: Mutex<HashMap<usize, f64>>,
     attention: Mutex<HashMap<usize, f64>>,
 }
 
 impl CostModel {
-    /// Builds a cost model priced by the closed-form overlap model.
+    /// Builds a cost model for one design point, model and dataset.
     pub fn new(acc: Accelerator, model: ModelId, dataset: Dataset) -> Self {
-        Self::with_source(acc, model, dataset, CostSource::ClosedForm)
-    }
-
-    /// Builds a cost model priced by the `owlp-mem` co-simulation — the
-    /// same memoisation, so each distinct iteration shape pays the
-    /// event-driven simulation exactly once.
-    pub fn with_cosim(acc: Accelerator, model: ModelId, dataset: Dataset) -> Self {
-        Self::with_source(acc, model, dataset, CostSource::Cosim)
-    }
-
-    /// Builds a cost model with an explicit [`CostSource`].
-    pub fn with_source(
-        acc: Accelerator,
-        model: ModelId,
-        dataset: Dataset,
-        source: CostSource,
-    ) -> Self {
         CostModel {
             acc,
             model,
             dataset,
-            source,
             prefill: Mutex::new(HashMap::new()),
             projection: Mutex::new(HashMap::new()),
             attention: Mutex::new(HashMap::new()),
         }
     }
 
-    /// The latency model in use.
-    pub fn source(&self) -> CostSource {
-        self.source
-    }
-
-    /// Prices one op under the configured source.
+    /// Prices one op of `wl`.
     fn op_seconds(&self, wl: &Workload, op: &GemmOp) -> f64 {
-        match self.source {
-            CostSource::ClosedForm => self
-                .acc
-                .seconds_for(self.acc.op_report(wl, op, self.dataset).cycles),
-            CostSource::Cosim => cosim::op_cosim_seconds(&self.acc, wl, op, self.dataset),
-        }
-    }
-
-    /// Prices a whole iteration workload under the configured source.
-    fn iteration_seconds(&self, wl: &Workload) -> f64 {
-        match self.source {
-            CostSource::ClosedForm => self.acc.simulate(wl, self.dataset).seconds,
-            CostSource::Cosim => wl.ops.iter().map(|o| self.op_seconds(wl, o)).sum(),
-        }
+        self.acc
+            .seconds_for(self.acc.op_report(wl, op, self.dataset).cycles)
     }
 
     /// The design point being priced.
     pub fn accelerator(&self) -> &Accelerator {
         &self.acc
-    }
-
-    /// The model being served.
-    pub fn model(&self) -> ModelId {
-        self.model
     }
 
     /// Seconds to prefill one sequence's `prompt_len`-token prompt.
@@ -122,7 +68,7 @@ impl CostModel {
             return s;
         }
         let wl = workload::prefill_workload(self.model, 1, key.1);
-        let s = self.iteration_seconds(&wl);
+        let s = self.acc.simulate(&wl, self.dataset).seconds;
         self.prefill.lock().insert(key, s);
         s
     }
@@ -231,57 +177,5 @@ mod tests {
         assert_eq!(a, b);
         // Bucketing: lengths in the same power-of-two bucket price equally.
         assert_eq!(cm.attention_seconds(65), cm.attention_seconds(128));
-    }
-
-    fn cosim_model() -> CostModel {
-        CostModel::with_cosim(Accelerator::owlp(), ModelId::Gpt2Base, Dataset::WikiText2)
-    }
-
-    #[test]
-    fn cosim_source_is_positive_monotone_and_memoised() {
-        let cm = cosim_model();
-        assert_eq!(cm.source(), CostSource::Cosim);
-        assert_eq!(model().source(), CostSource::ClosedForm);
-        assert_eq!(cm.prefill_seconds(1), 0.0);
-        let p_short = cm.prefill_seconds(64);
-        let p_long = cm.prefill_seconds(512);
-        assert!(p_short > 0.0);
-        assert!(p_long > p_short);
-        let d_small = cm.decode_step_seconds(&[64; 4]);
-        let d_big = cm.decode_step_seconds(&[1024; 4]);
-        assert!(d_small > 0.0);
-        assert!(d_big > d_small, "{d_big} vs {d_small}");
-        // The memo tables are shared with the closed-form path, so the
-        // second lookup must reproduce the first bit-for-bit.
-        assert_eq!(d_small, cm.decode_step_seconds(&[64; 4]));
-    }
-
-    #[test]
-    fn cosim_source_preserves_the_owlp_win() {
-        let owlp = cosim_model();
-        let base = CostModel::with_cosim(
-            Accelerator::baseline(),
-            ModelId::Gpt2Base,
-            Dataset::WikiText2,
-        );
-        let kv = [256usize; 16];
-        assert!(owlp.decode_step_seconds(&kv) < base.decode_step_seconds(&kv));
-        assert!(owlp.prefill_seconds(256) < base.prefill_seconds(256));
-    }
-
-    #[test]
-    fn cosim_prices_stay_near_the_closed_form_prices() {
-        // Same workload shapes, two latency models: the event-driven
-        // price refines, not replaces, the closed-form overlap.
-        let closed = model();
-        let cosim = cosim_model();
-        for (a, b) in [
-            (closed.prefill_seconds(128), cosim.prefill_seconds(128)),
-            (closed.projection_seconds(16), cosim.projection_seconds(16)),
-            (closed.attention_seconds(512), cosim.attention_seconds(512)),
-        ] {
-            let ratio = b / a;
-            assert!((0.4..=2.5).contains(&ratio), "cosim {b} vs closed {a}");
-        }
     }
 }

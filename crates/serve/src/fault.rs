@@ -60,15 +60,8 @@ pub struct WorkerFaultPlan {
 }
 
 impl WorkerFaultPlan {
-    /// Whether this plan injects nothing.
-    pub fn is_zero(&self) -> bool {
-        self.crash_at_s.is_none()
-            && self.stalls.is_empty()
-            && self.iter_fail_permille == 0
-            && self.sdc_permille == 0
-    }
-
-    /// Cost multiplier at time `t` (1.0 outside every stall window).
+    /// Cost multiplier at time `t`: exactly 1.0 outside every stall window,
+    /// so an unstalled charge `x * 1.0` is `x` to the bit.
     pub fn stall_multiplier(&self, t: f64) -> f64 {
         self.stalls
             .iter()
@@ -78,7 +71,8 @@ impl WorkerFaultPlan {
     }
 }
 
-/// The pool-wide fault plan: one entry per worker.
+/// The pool-wide fault plan: one entry per worker, or none at all — the
+/// empty (default) plan is the fault-free run at any worker count.
 #[derive(Debug, Clone, PartialEq, Serialize, Default)]
 pub struct FaultPlan {
     /// Per-worker plans, indexed like the pool's workers.
@@ -91,11 +85,6 @@ impl FaultPlan {
         FaultPlan {
             workers: vec![WorkerFaultPlan::default(); workers],
         }
-    }
-
-    /// Whether no worker injects anything.
-    pub fn is_zero(&self) -> bool {
-        self.workers.iter().all(WorkerFaultPlan::is_zero)
     }
 
     /// Whether any worker ever crashes.
@@ -282,21 +271,8 @@ impl SdcSampler {
     /// Builds the sampler from [`criticality_table`]. Weights are log-scaled
     /// before accumulation — raw relative errors span ~28 decades, which
     /// would make every draw the top exponent bit.
-    pub fn new() -> SdcSampler {
-        Self::from_table(criticality_table())
-    }
-
-    /// The process-wide memoized sampler. [`criticality_table`] re-prices
-    /// the whole sensitivity sweep (thousands of dot products) on every
-    /// call, so build it once and share the result — per-worker simulation
-    /// fallbacks must not pay that per invocation.
-    pub fn shared() -> &'static SdcSampler {
-        static SHARED: OnceLock<SdcSampler> = OnceLock::new();
-        SHARED.get_or_init(SdcSampler::new)
-    }
-
-    /// Builds from an explicit table (tests).
-    pub fn from_table(table: Vec<SiteCriticality>) -> SdcSampler {
+    fn new() -> SdcSampler {
+        let table = criticality_table();
         let mut cumulative = Vec::with_capacity(table.len());
         let mut acc = 0.0f64;
         for row in &table {
@@ -307,23 +283,21 @@ impl SdcSampler {
         SdcSampler { table, cumulative }
     }
 
+    /// The process-wide memoized sampler. [`criticality_table`] re-prices
+    /// the whole sensitivity sweep (thousands of dot products) on every
+    /// call, so build it once and share the result — per-worker simulation
+    /// must not pay that per invocation.
+    pub fn shared() -> &'static SdcSampler {
+        static SHARED: OnceLock<SdcSampler> = OnceLock::new();
+        SHARED.get_or_init(SdcSampler::new)
+    }
+
     /// Draws one site.
     pub fn draw(&self, rng: &mut SplitMix64) -> &SiteCriticality {
         let total = *self.cumulative.last().expect("table is non-empty");
         let u = (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64 * total;
         let idx = self.cumulative.partition_point(|&c| c <= u);
         &self.table[idx.min(self.table.len() - 1)]
-    }
-
-    /// The underlying ranked table.
-    pub fn table(&self) -> &[SiteCriticality] {
-        &self.table
-    }
-}
-
-impl Default for SdcSampler {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -338,8 +312,9 @@ mod tests {
     #[test]
     fn zero_plan_is_zero() {
         let p = FaultPlan::none(4);
-        assert!(p.is_zero());
+        assert!(p.workers.iter().all(|w| *w == WorkerFaultPlan::default()));
         assert!(!p.has_crashes());
+        assert!(!FaultPlan::default().has_crashes());
         assert_eq!(p.healthy_at(0.0), 4);
         assert_eq!(p.healthy_at(1e9), 4);
     }
@@ -378,7 +353,6 @@ mod tests {
         assert_eq!(plan.healthy_at(5.0), 3);
         assert_eq!(plan.healthy_at(9.5), 2);
         assert!(plan.has_crashes());
-        assert!(!plan.is_zero());
     }
 
     #[test]
@@ -428,7 +402,6 @@ mod tests {
         let b = SdcSampler::shared();
         assert!(std::ptr::eq(a, b), "shared() must not re-price the table");
         let fresh = SdcSampler::new();
-        assert_eq!(a.table().len(), fresh.table().len());
         let mut ra = SplitMix64::new(3);
         let mut rb = SplitMix64::new(3);
         for _ in 0..32 {

@@ -8,22 +8,23 @@
 //! * [`request`] — request generation: Poisson/bursty arrival processes ×
 //!   configurable prompt/generation length distributions, seeded and
 //!   deterministic.
-//! * [`trace`] — replayable JSON traces (version-checked, validated).
 //! * [`cost`] — [`CostModel`]: prices scheduler iterations through the
 //!   `owlp-core` [`Accelerator`] cycle model (memoised per shape bucket).
 //! * [`scheduler`] — the continuous-batching discrete-event loop:
 //!   iteration-level batches, FIFO admission from a bounded queue,
-//!   rejection backpressure, per-request latency records.
+//!   rejection backpressure, per-request latency records, and the fault
+//!   plan's crashes, stalls, retries and SDCs.
 //! * [`pool`] — multi-worker array pool: shards a trace round-robin
-//!   across the [`owlp_par`] worker grid (`OWLP_THREADS`) and merges
-//!   outcomes deterministically.
+//!   across the [`owlp_par`] worker grid (`OWLP_THREADS`), re-dispatches a
+//!   crashed worker's requests, and merges outcomes deterministically.
 //! * [`fault`] — seeded fault plans (crashes, stalls, transient failures,
 //!   criticality-weighted SDCs resolved against the measured
 //!   `owlp-integrity` detection profile) and recovery policies (deadlines,
 //!   bounded retry with jittered exponential backoff, degraded admission,
-//!   localized tile recompute).
-//! * [`metrics`] — nearest-rank percentile roll-ups: TTFT/TPOT/E2E at
-//!   p50/p95/p99, goodput, rejection rate; fault-run [`MetricsReport`]s.
+//!   localized tile recompute). The fault-free run is the empty plan.
+//! * [`metrics`] — the [`MetricsReport`]: nearest-rank TTFT/TPOT/E2E
+//!   percentiles at p50/p95/p99, goodput and rejection rate, plus
+//!   availability and the recovery-path counters.
 //! * [`error`] — the crate-level [`ServeError`].
 //!
 //! The simulator prices requests through the cycle model and holds no
@@ -45,7 +46,7 @@
 //!     seed: 7,
 //! }
 //! .generate();
-//! let summary = serve_trace(
+//! let report = serve_trace(
 //!     Accelerator::owlp(),
 //!     ModelId::Gpt2Base,
 //!     Dataset::WikiText2,
@@ -53,7 +54,7 @@
 //!     &trace,
 //! )
 //! .unwrap();
-//! assert_eq!(summary.completed + summary.rejected, 64);
+//! assert_eq!(report.summary.completed + report.summary.rejected, 64);
 //! ```
 
 pub mod cost;
@@ -63,22 +64,17 @@ pub mod metrics;
 pub mod pool;
 pub mod request;
 pub mod scheduler;
-pub mod trace;
 
-pub use cost::{CostModel, CostSource};
+pub use cost::CostModel;
 pub use error::ServeError;
 pub use fault::{
     backoff_delay_s, FaultPlan, FaultSpec, RecoveryPolicy, SdcSampler, StallWindow, WorkerFaultPlan,
 };
-pub use metrics::{summarize, summarize_faults, MetricsReport, Percentiles, ServingSummary};
+pub use metrics::{summarize, MetricsReport, Percentiles, ServingSummary};
 pub use owlp_integrity::IntegrityConfig;
-pub use pool::{simulate_pool, simulate_pool_faulty, FaultPoolConfig, PoolConfig};
+pub use pool::{simulate_pool, PoolConfig};
 pub use request::{ArrivalProcess, LengthDistribution, Request, TraceSpec};
-pub use scheduler::{
-    simulate, simulate_faulty, CompletedRequest, FaultSimOutcome, FaultStats, SchedulerConfig,
-    SimOutcome,
-};
-pub use trace::{Trace, TraceError};
+pub use scheduler::{simulate, CompletedRequest, FaultStats, SchedulerConfig, SimOutcome};
 
 use owlp_core::Accelerator;
 use owlp_model::{Dataset, ModelId};
@@ -94,7 +90,8 @@ fn offered_rps(trace: &[Request]) -> f64 {
     }
 }
 
-/// One-call convenience: simulate a trace on a pool and roll up metrics.
+/// One-call convenience: simulate a trace on a pool under its fault plan
+/// and recovery policy, then roll the outcome up into a [`MetricsReport`].
 ///
 /// The offered load reported in the summary is measured from the trace
 /// itself (requests over the arrival span).
@@ -108,29 +105,9 @@ pub fn serve_trace(
     dataset: Dataset,
     pool: &PoolConfig,
     trace: &[Request],
-) -> Result<ServingSummary, ServeError> {
+) -> Result<MetricsReport, ServeError> {
     let cost = CostModel::new(acc, model, dataset);
     let outcome = simulate_pool(&cost, pool, trace)?;
     let design = cost.accelerator().design().name;
     Ok(summarize(design, offered_rps(trace), &outcome))
-}
-
-/// One-call convenience for fault-injected runs: simulate a trace on a
-/// pool under `cfg`'s fault plan and recovery policy, then roll the outcome
-/// up into a [`MetricsReport`].
-///
-/// # Errors
-///
-/// See [`simulate_pool_faulty`].
-pub fn serve_trace_faulty(
-    acc: Accelerator,
-    model: ModelId,
-    dataset: Dataset,
-    cfg: &FaultPoolConfig,
-    trace: &[Request],
-) -> Result<MetricsReport, ServeError> {
-    let cost = CostModel::new(acc, model, dataset);
-    let outcome = simulate_pool_faulty(&cost, cfg, trace)?;
-    let design = cost.accelerator().design().name;
-    Ok(summarize_faults(design, offered_rps(trace), &outcome))
 }

@@ -1,10 +1,10 @@
 //! Percentile roll-ups of per-request latency records.
 //!
 //! Percentiles use the **nearest-rank** definition on a sorted sample
-//! (`p(q) = x[⌈q·n⌉ − 1]`): exact, monotone in `q`, and trivially matched
-//! by an independent sort-based oracle in the property tests.
+//! (`p(q) = x[⌈q·n⌉ − 1]`): exact, monotone in `q`, and matched against a
+//! naive counting oracle in the property tests.
 
-use crate::scheduler::{FaultSimOutcome, SimOutcome};
+use crate::scheduler::{CompletedRequest, SimOutcome};
 use serde::Serialize;
 
 /// p50/p95/p99 of one latency distribution.
@@ -20,10 +20,6 @@ pub struct Percentiles {
 
 impl Percentiles {
     /// Computes the three ranks from unsorted values (0s when empty).
-    ///
-    /// Clones and fully sorts the sample — the deliberately simple oracle
-    /// that [`LatencySummary`] is property-tested against. Hot paths
-    /// should hand their samples to [`LatencySummary`] instead.
     pub fn of(values: &[f64]) -> Percentiles {
         if values.is_empty() {
             return Percentiles::default();
@@ -34,55 +30,6 @@ impl Percentiles {
             p50: percentile_sorted(&sorted, 0.50),
             p95: percentile_sorted(&sorted, 0.95),
             p99: percentile_sorted(&sorted, 0.99),
-        }
-    }
-}
-
-/// Owns one latency sample set and rolls it up into [`Percentiles`] with
-/// three `O(n)` selections ([`[f64]::select_nth_unstable_by`]) instead of
-/// cloning and fully sorting the sample per call.
-///
-/// Nearest-rank percentiles only need the element at each of three sorted
-/// positions, so selection produces bit-identical results to the sort-based
-/// [`Percentiles::of`] oracle (ties are exact `f64` duplicates — any
-/// element at the rank is *the* answer).
-#[derive(Debug, Clone, Default)]
-pub struct LatencySummary {
-    samples: Vec<f64>,
-}
-
-impl LatencySummary {
-    /// Takes ownership of an unsorted sample (no copy is ever made).
-    pub fn new(samples: Vec<f64>) -> LatencySummary {
-        LatencySummary { samples }
-    }
-
-    /// Number of samples.
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// Whether the sample set is empty.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
-    /// Consumes the summary and computes p50/p95/p99 in place
-    /// (0s when empty).
-    pub fn percentiles(mut self) -> Percentiles {
-        let n = self.samples.len();
-        if n == 0 {
-            return Percentiles::default();
-        }
-        let mut at_rank = |q: f64| {
-            let rank = (q * n as f64).ceil() as usize;
-            let idx = rank.clamp(1, n) - 1;
-            *self.samples.select_nth_unstable_by(idx, f64::total_cmp).1
-        };
-        Percentiles {
-            p50: at_rank(0.50),
-            p95: at_rank(0.95),
-            p99: at_rank(0.99),
         }
     }
 }
@@ -125,57 +72,15 @@ pub struct ServingSummary {
     pub e2e_ms: Percentiles,
 }
 
-/// Rolls one simulation outcome up into a summary.
-pub fn summarize(design: &str, offered_rps: f64, outcome: &SimOutcome) -> ServingSummary {
-    let requests = outcome.completed.len() + outcome.rejected.len();
-    let ms = |mut v: Vec<f64>| {
-        v.iter_mut().for_each(|s| *s *= 1e3);
-        LatencySummary::new(v).percentiles()
-    };
-    let span = outcome
-        .completed
-        .iter()
-        .map(|c| c.finished_s)
-        .fold(0.0f64, f64::max)
-        - outcome
-            .completed
-            .iter()
-            .map(|c| c.arrival_s)
-            .fold(f64::INFINITY, f64::min);
-    let span = if span.is_finite() && span > 0.0 {
-        span
-    } else {
-        f64::INFINITY // zero/undefined window ⇒ zero rates below
-    };
-    let tokens: usize = outcome.completed.iter().map(|c| c.gen_len).sum();
-    ServingSummary {
-        design: design.to_string(),
-        offered_rps,
-        requests,
-        completed: outcome.completed.len(),
-        rejected: outcome.rejected.len(),
-        rejection_rate: if requests == 0 {
-            0.0
-        } else {
-            outcome.rejected.len() as f64 / requests as f64
-        },
-        goodput_rps: outcome.completed.len() as f64 / span,
-        output_tokens_per_s: tokens as f64 / span,
-        ttft_ms: ms(outcome.completed.iter().map(|c| c.ttft_s()).collect()),
-        tpot_ms: ms(outcome.completed.iter().map(|c| c.tpot_s()).collect()),
-        e2e_ms: ms(outcome.completed.iter().map(|c| c.e2e_s()).collect()),
-    }
-}
-
-/// The full figure-of-merit roll-up of a fault-injected run: the classic
+/// The full figure-of-merit roll-up of one run: the latency/goodput
 /// [`ServingSummary`] plus availability, recovery-path counters, and the
 /// fault-adjusted goodput an operator actually banks.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct MetricsReport {
     /// Latency/goodput roll-up of the served requests. `requests` and
     /// `rejection_rate` are computed over the *full* id partition
-    /// (completed + rejected + failed + deadline-missed + shed), which
-    /// degenerates to the classic definition on a zero-fault run.
+    /// (completed + rejected + failed + deadline-missed + shed), which is
+    /// completed + rejected on a fault-free run.
     pub summary: ServingSummary,
     /// Retry re-admissions scheduled after transient failures.
     pub retries: u64,
@@ -220,31 +125,59 @@ pub struct MetricsReport {
     pub goodput_under_faults_rps: f64,
 }
 
-/// Rolls one fault-injected outcome up into a [`MetricsReport`].
-pub fn summarize_faults(design: &str, offered_rps: f64, out: &FaultSimOutcome) -> MetricsReport {
-    let mut summary = summarize(design, offered_rps, &out.base);
-    let total = out.base.completed.len()
-        + out.base.rejected.len()
+/// Rolls one simulation outcome up into a [`MetricsReport`].
+pub fn summarize(design: &str, offered_rps: f64, out: &SimOutcome) -> MetricsReport {
+    let requests = out.completed.len()
+        + out.rejected.len()
         + out.failed.len()
         + out.deadline_missed.len()
         + out.shed.len();
-    summary.requests = total;
-    summary.rejection_rate = if total == 0 {
-        0.0
-    } else {
-        out.base.rejected.len() as f64 / total as f64
+    let share = |n: usize| {
+        if requests == 0 {
+            0.0
+        } else {
+            n as f64 / requests as f64
+        }
     };
-    let deadline_miss_rate = if total == 0 {
-        0.0
-    } else {
-        out.deadline_missed.len() as f64 / total as f64
+    let ms = |latency_s: fn(&CompletedRequest) -> f64| {
+        let sample: Vec<f64> = out.completed.iter().map(|c| latency_s(c) * 1e3).collect();
+        Percentiles::of(&sample)
     };
-    let served = out.base.completed.len();
+    let span = out
+        .completed
+        .iter()
+        .map(|c| c.finished_s)
+        .fold(0.0f64, f64::max)
+        - out
+            .completed
+            .iter()
+            .map(|c| c.arrival_s)
+            .fold(f64::INFINITY, f64::min);
+    let span = if span.is_finite() && span > 0.0 {
+        span
+    } else {
+        f64::INFINITY // zero/undefined window ⇒ zero rates below
+    };
+    let served = out.completed.len();
+    let tokens: usize = out.completed.iter().map(|c| c.gen_len).sum();
+    let summary = ServingSummary {
+        design: design.to_string(),
+        offered_rps,
+        requests,
+        completed: served,
+        rejected: out.rejected.len(),
+        rejection_rate: share(out.rejected.len()),
+        goodput_rps: served as f64 / span,
+        output_tokens_per_s: tokens as f64 / span,
+        ttft_ms: ms(CompletedRequest::ttft_s),
+        tpot_ms: ms(CompletedRequest::tpot_s),
+        e2e_ms: ms(CompletedRequest::e2e_s),
+    };
     let goodput_under_faults_rps = if served == 0 {
         0.0
     } else {
-        // Ratio first: with zero corruptions it is exactly 1.0, keeping the
-        // zero-fault report bit-identical to the plain summary.
+        // Ratio first: with zero corruptions it is exactly 1.0, so a clean
+        // run's clean goodput equals its goodput to the bit.
         summary.goodput_rps * ((served - out.corrupted.len()) as f64 / served as f64)
     };
     MetricsReport {
@@ -253,7 +186,7 @@ pub fn summarize_faults(design: &str, offered_rps: f64, out: &FaultSimOutcome) -
         evictions: out.faults.evictions,
         shed: out.shed.len(),
         deadline_missed: out.deadline_missed.len(),
-        deadline_miss_rate,
+        deadline_miss_rate: share(out.deadline_missed.len()),
         corrupted_responses: out.corrupted.len(),
         sdc_events: out.faults.sdc_events,
         sdc_detected: out.faults.sdc_detected,
@@ -277,7 +210,22 @@ pub fn summarize_faults(design: &str, offered_rps: f64, out: &FaultSimOutcome) -
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheduler::{CompletedRequest, FaultStats, SimStats};
+    use crate::scheduler::{FaultStats, SimStats};
+
+    fn outcome(completed: Vec<CompletedRequest>, rejected: Vec<u64>) -> SimOutcome {
+        SimOutcome {
+            completed,
+            rejected,
+            failed: vec![],
+            deadline_missed: vec![],
+            shed: vec![],
+            corrupted: vec![],
+            orphans: vec![],
+            stats: SimStats::default(),
+            faults: FaultStats::default(),
+            availability: 1.0,
+        }
+    }
 
     #[test]
     fn nearest_rank_on_known_sample() {
@@ -292,29 +240,6 @@ mod tests {
     #[test]
     fn percentiles_of_empty_are_zero() {
         assert_eq!(Percentiles::of(&[]), Percentiles::default());
-        assert_eq!(
-            LatencySummary::new(vec![]).percentiles(),
-            Percentiles::default()
-        );
-    }
-
-    #[test]
-    fn selection_summary_matches_sort_oracle() {
-        // Duplicates, reverse order, and a single-element sample all hit
-        // the rank-clamp edges.
-        for v in [
-            vec![7.0],
-            vec![3.0, 1.0, 2.0, 1.0, 3.0, 3.0],
-            (0..250).rev().map(|i| (i % 17) as f64).collect::<Vec<_>>(),
-        ] {
-            assert_eq!(
-                LatencySummary::new(v.clone()).percentiles(),
-                Percentiles::of(&v)
-            );
-        }
-        let s = LatencySummary::new(vec![1.0, 2.0]);
-        assert_eq!(s.len(), 2);
-        assert!(!s.is_empty());
     }
 
     #[test]
@@ -339,12 +264,10 @@ mod tests {
                 finished_s: 2.0,
             },
         ];
-        let out = SimOutcome {
-            completed,
-            rejected: vec![2, 3],
-            stats: SimStats::default(),
-        };
-        let s = summarize("owlp", 4.0, &out);
+        let r = summarize("owlp", 4.0, &outcome(completed, vec![2, 3]));
+        assert_eq!(r.goodput_under_faults_rps, r.summary.goodput_rps);
+        assert_eq!(r.availability, 1.0);
+        let s = r.summary;
         assert_eq!(s.requests, 4);
         assert_eq!(s.completed, 2);
         assert_eq!(s.rejection_rate, 0.5);
@@ -376,17 +299,11 @@ mod tests {
                 finished_s: 2.0,
             },
         ];
-        let out = FaultSimOutcome {
-            base: SimOutcome {
-                completed,
-                rejected: vec![2],
-                stats: SimStats::default(),
-            },
+        let out = SimOutcome {
             failed: vec![3],
             deadline_missed: vec![4],
             shed: vec![5, 6],
             corrupted: vec![1],
-            orphans: vec![],
             faults: FaultStats {
                 retries: 2,
                 evictions: 1,
@@ -400,8 +317,9 @@ mod tests {
                 ..FaultStats::default()
             },
             availability: 0.75,
+            ..outcome(completed, vec![2])
         };
-        let r = summarize_faults("owlp", 4.0, &out);
+        let r = summarize("owlp", 4.0, &out);
         // 2 completed + 1 rejected + 1 failed + 1 missed + 2 shed.
         assert_eq!(r.summary.requests, 7);
         assert!((r.summary.rejection_rate - 1.0 / 7.0).abs() < 1e-12);

@@ -3,15 +3,14 @@
 //! A serving trace is a stream of [`Request`]s with arrival timestamps and
 //! per-request prompt/generation lengths. Traces are generated from a
 //! [`TraceSpec`] — an arrival process (open-loop Poisson or bursty) crossed
-//! with length distributions — or replayed from JSON (see [`crate::trace`]).
-//! Generation is fully deterministic from the spec's seed: the same spec
-//! always yields byte-identical traces, which is what makes multi-worker
-//! runs seed-reproducible.
+//! with length distributions. Generation is fully deterministic from the
+//! spec's seed: the same spec always yields byte-identical traces, which is
+//! what makes multi-worker runs seed-reproducible.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One inference request of a serving trace.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Request {
     /// Stable id (also the trace order tiebreaker).
     pub id: u64,
@@ -24,7 +23,7 @@ pub struct Request {
 }
 
 /// How request arrivals are spaced.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub enum ArrivalProcess {
     /// Open-loop Poisson arrivals at `rate_rps` requests/second
     /// (exponential inter-arrival gaps).
@@ -55,7 +54,7 @@ impl ArrivalProcess {
 }
 
 /// Per-request token-length distribution.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub enum LengthDistribution {
     /// Every request gets the same length.
     Fixed(usize),
@@ -111,7 +110,7 @@ impl LengthDistribution {
 }
 
 /// A full trace recipe: arrivals × lengths × count, seeded.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct TraceSpec {
     /// Arrival process.
     pub arrivals: ArrivalProcess,

@@ -13,8 +13,10 @@
 //! output token `s+1`. TTFT is therefore queue wait + prefill + the first
 //! decode step, and TPOT averages the remaining `gen_len − 1` steps.
 //!
-//! The simulation is a pure function of the trace and config — no wall
-//! clock, no OS randomness — which is what lets the multi-worker pool
+//! Faults ride the same loop: a [`FaultPlan`] adds crashes, stalls,
+//! transient failures and SDCs, and the fault-free run is the empty plan.
+//! The simulation is a pure function of the trace, config and plan — no
+//! wall clock, no OS randomness — which is what lets the multi-worker pool
 //! (see [`crate::pool`]) reproduce metrics bit-for-bit from a seed.
 
 use crate::cost::CostModel;
@@ -97,119 +99,6 @@ pub struct SimStats {
     pub end_s: f64,
 }
 
-/// Everything a simulation run produced.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct SimOutcome {
-    /// Served requests, sorted by id.
-    pub completed: Vec<CompletedRequest>,
-    /// Rejected request ids (admission-queue overflow), sorted.
-    pub rejected: Vec<u64>,
-    /// Run counters.
-    pub stats: SimStats,
-}
-
-struct Running {
-    req: Request,
-    produced: usize,
-    first_token_s: Option<f64>,
-    admitted_s: f64,
-}
-
-/// Simulates serving `trace` through one array group.
-///
-/// The trace must be sorted by arrival time (as produced by
-/// [`crate::request::TraceSpec::generate`] or validated by
-/// [`crate::trace::Trace::from_json`]); requests with `gen_len == 0` are
-/// treated as one-token generations.
-pub fn simulate(cost: &CostModel, cfg: &SchedulerConfig, trace: &[Request]) -> SimOutcome {
-    let max_batch = cfg.max_batch.max(1);
-    let queue_capacity = cfg.queue_capacity.max(1);
-    let mut clock = 0.0f64;
-    let mut next = 0usize;
-    let mut queue: VecDeque<Request> = VecDeque::new();
-    let mut running: Vec<Running> = Vec::new();
-    let mut completed: Vec<CompletedRequest> = Vec::new();
-    let mut rejected: Vec<u64> = Vec::new();
-    let mut stats = SimStats::default();
-
-    loop {
-        // Ingest every arrival up to the current clock; the bounded queue
-        // is the backpressure point.
-        while next < trace.len() && trace[next].arrival_s <= clock {
-            if queue.len() < queue_capacity {
-                queue.push_back(trace[next]);
-            } else {
-                rejected.push(trace[next].id);
-            }
-            next += 1;
-        }
-        stats.peak_queue = stats.peak_queue.max(queue.len());
-
-        if running.is_empty() && queue.is_empty() {
-            match trace.get(next) {
-                // Idle: jump straight to the next arrival.
-                Some(r) => {
-                    clock = r.arrival_s;
-                    continue;
-                }
-                None => break,
-            }
-        }
-
-        // Admit FIFO into free slots and charge their prefill.
-        while running.len() < max_batch {
-            let Some(req) = queue.pop_front() else { break };
-            let admitted_s = clock;
-            clock += cost.prefill_seconds(req.prompt_len);
-            running.push(Running {
-                req,
-                produced: 0,
-                first_token_s: None,
-                admitted_s,
-            });
-        }
-
-        // One decode iteration across the running batch.
-        let kv_lens: Vec<usize> = running
-            .iter()
-            .map(|r| r.req.prompt_len + r.produced + 1)
-            .collect();
-        clock += cost.decode_step_seconds(&kv_lens);
-        stats.iterations += 1;
-        stats.peak_batch = stats.peak_batch.max(running.len());
-
-        let mut i = 0;
-        while i < running.len() {
-            let r = &mut running[i];
-            r.produced += 1;
-            r.first_token_s.get_or_insert(clock);
-            if r.produced >= r.req.gen_len.max(1) {
-                let r = running.remove(i);
-                completed.push(CompletedRequest {
-                    id: r.req.id,
-                    prompt_len: r.req.prompt_len,
-                    gen_len: r.req.gen_len.max(1),
-                    arrival_s: r.req.arrival_s,
-                    admitted_s: r.admitted_s,
-                    first_token_s: r.first_token_s.unwrap_or(clock),
-                    finished_s: clock,
-                });
-            } else {
-                i += 1;
-            }
-        }
-    }
-
-    stats.end_s = clock;
-    completed.sort_by_key(|c| c.id);
-    rejected.sort_unstable();
-    SimOutcome {
-        completed,
-        rejected,
-        stats,
-    }
-}
-
 /// Fault-path counters of one worker (or, summed, one pool) run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
 pub struct FaultStats {
@@ -264,16 +153,19 @@ impl FaultStats {
     }
 }
 
-/// Everything a fault-aware simulation run produced.
+/// Everything a simulation run produced.
 ///
 /// Request ids partition exactly: every trace id lands in exactly one of
-/// `base.completed`, `base.rejected`, `failed`, `deadline_missed`, `shed`,
-/// or (worker-level, until the pool re-dispatches them) `orphans`.
-/// `corrupted` is a subset of `base.completed`.
+/// `completed`, `rejected`, `failed`, `deadline_missed`, `shed`, or
+/// (worker-level, until the pool re-dispatches them) `orphans`.
+/// `corrupted` is a subset of `completed`. Under an empty fault plan only
+/// `completed` and `rejected` fill.
 #[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct FaultSimOutcome {
-    /// The classic outcome: served + queue-overflow-rejected + counters.
-    pub base: SimOutcome,
+pub struct SimOutcome {
+    /// Served requests, sorted by id.
+    pub completed: Vec<CompletedRequest>,
+    /// Rejected request ids (admission-queue overflow), sorted.
+    pub rejected: Vec<u64>,
     /// Requests dropped after exhausting their retry budget, sorted.
     pub failed: Vec<u64>,
     /// Requests that missed their deadline (dropped in queue or finished
@@ -283,11 +175,13 @@ pub struct FaultSimOutcome {
     /// nominal room, but the healthy-worker count said otherwise), sorted.
     pub shed: Vec<u64>,
     /// Served requests whose response carries an undetected corruption,
-    /// sorted; a subset of `base.completed` ids.
+    /// sorted; a subset of `completed` ids.
     pub corrupted: Vec<u64>,
     /// In-flight/queued/future requests stranded by a worker crash; empty
     /// at pool level (the pool re-dispatches them to survivors).
     pub orphans: Vec<Request>,
+    /// Run counters.
+    pub stats: SimStats,
     /// Fault-path counters.
     pub faults: FaultStats,
     /// Healthy worker-seconds over total worker-seconds (1.0 fault-free;
@@ -304,7 +198,7 @@ struct PendingReq {
     ready_s: f64,
 }
 
-struct RunningF {
+struct Running {
     req: Request,
     attempt: u32,
     produced: usize,
@@ -327,12 +221,17 @@ pub const ACC_STRIKE_PERMILLE: u64 = 250;
 
 /// Simulates serving `trace` through one array group under a fault plan.
 ///
-/// `worker` indexes this worker's entry in `plan` (an out-of-range index
-/// means a fault-free worker); the whole plan is needed because degraded
-/// admission keys off the pool-wide healthy count. With a zero plan and a
-/// policy with no deadline this is **bit-identical** to [`simulate`]: the
-/// fault branches charge no time and draw no randomness, so the happy path
-/// cannot drift (property-tested).
+/// The trace must be sorted by arrival time (as produced by
+/// [`crate::request::TraceSpec::generate`]); requests with `gen_len == 0`
+/// are treated as one-token generations.
+///
+/// `worker` indexes this worker's entry in `plan` (an out-of-range index,
+/// and so every index of the empty plan, means a fault-free worker); the
+/// whole plan is needed because degraded admission keys off the pool-wide
+/// healthy count. A fault-free worker under a policy with no deadline
+/// serves exactly like the plain continuous-batching loop: the fault
+/// branches charge no time and draw no randomness, so the happy path
+/// cannot drift (property-tested against the fault-free oracle).
 ///
 /// Semantics, all at iteration granularity and fully deterministic:
 ///
@@ -344,53 +243,49 @@ pub const ACC_STRIKE_PERMILLE: u64 = 250;
 ///   re-enters admission after [`backoff_delay_s`] (its generation restarts;
 ///   `max_retries` exceeded ⇒ evicted into `failed`);
 /// * **SDC** — the strike hits an accumulator lane (a fixed
-///   [`ACC_STRIKE_PERMILLE`] share) or a criticality-weighted operand
-///   [`crate::fault::SdcSite`]; its fate is read from the **measured**
-///   [`DetectionProfile`] of the policy's armed detectors. Detected and
-///   localized ⇒ corrected at `tile_recompute_cost_permille` of one step;
-///   detected but unlocalized ⇒ the iteration re-executes at full price;
-///   undetected ⇒ either masked (bit-clean output anyway) or one victim
-///   response is silently corrupted;
+///   [`ACC_STRIKE_PERMILLE`] share) or an operand [`crate::fault::SdcSite`]
+///   drawn by the process-wide [`SdcSampler`]; its fate is read from the
+///   **measured** [`DetectionProfile`] of the policy's armed detectors.
+///   Detected and localized ⇒ corrected at `tile_recompute_cost_permille`
+///   of one step; detected but unlocalized ⇒ the iteration re-executes at
+///   full price; undetected ⇒ either masked (bit-clean output anyway) or
+///   one victim response is silently corrupted;
 /// * **deadline** — queued/backing-off requests past their deadline are
 ///   dropped before admission; completions past the deadline count as
 ///   missed, not served;
 /// * **degraded admission** — with crashes in the plan, the effective queue
 ///   bound scales by the pool-wide healthy fraction; arrivals refused only
 ///   by the tightened bound count as `shed`, not `rejected`.
-pub fn simulate_faulty(
+pub fn simulate(
     cost: &CostModel,
     cfg: &SchedulerConfig,
     recovery: &RecoveryPolicy,
     plan: &FaultPlan,
     worker: usize,
-    sampler: Option<&SdcSampler>,
     trace: &[Request],
-) -> FaultSimOutcome {
+) -> SimOutcome {
     let zero_plan = WorkerFaultPlan::default();
     let wp = plan.workers.get(worker).unwrap_or(&zero_plan);
-    let sampler = if wp.sdc_permille == 0 {
-        None
-    } else {
-        // The process-wide sampler: the fallback used to re-price the whole
-        // criticality table per call.
-        Some(sampler.unwrap_or_else(|| SdcSampler::shared()))
-    };
-    // Measured detection outcomes for the armed detectors; only built (and
-    // memoized process-wide) when SDCs can actually strike, so the
-    // zero-plan path stays bit-identical to `simulate`.
-    let profile = (wp.sdc_permille > 0).then(|| DetectionProfile::shared(recovery.integrity));
+    // Measured detection outcomes for the armed detectors and the
+    // criticality-weighted site sampler, both memoized process-wide; only
+    // fetched when SDCs can actually strike.
+    let sdc = (wp.sdc_permille > 0).then(|| {
+        (
+            DetectionProfile::shared(recovery.integrity),
+            SdcSampler::shared(),
+        )
+    });
 
     let max_batch = cfg.max_batch.max(1);
     let queue_capacity = cfg.queue_capacity.max(1);
     let total_workers = plan.workers.len().max(1);
     let degraded = recovery.degraded_admission && plan.has_crashes();
-    let stalled = !wp.stalls.is_empty();
     let mut rng = SplitMix64::new(wp.stream_seed);
     let mut clock = 0.0f64;
     let mut next = 0usize;
     let mut queue: VecDeque<PendingReq> = VecDeque::new();
     let mut retries: Vec<PendingReq> = Vec::new();
-    let mut running: Vec<RunningF> = Vec::new();
+    let mut running: Vec<Running> = Vec::new();
     let mut completed: Vec<CompletedRequest> = Vec::new();
     let mut rejected: Vec<u64> = Vec::new();
     let mut failed: Vec<u64> = Vec::new();
@@ -478,13 +373,8 @@ pub fn simulate_faulty(
                 p
             };
             let admitted_s = clock;
-            let prefill = cost.prefill_seconds(p.req.prompt_len);
-            clock += if stalled {
-                prefill * wp.stall_multiplier(admitted_s)
-            } else {
-                prefill
-            };
-            running.push(RunningF {
+            clock += cost.prefill_seconds(p.req.prompt_len) * wp.stall_multiplier(admitted_s);
+            running.push(Running {
                 req: p.req,
                 attempt: p.attempt,
                 produced: 0,
@@ -499,12 +389,7 @@ pub fn simulate_faulty(
             .iter()
             .map(|r| r.req.prompt_len + r.produced + 1)
             .collect();
-        let step = cost.decode_step_seconds(&kv_lens);
-        let step = if stalled {
-            step * wp.stall_multiplier(clock)
-        } else {
-            step
-        };
+        let step = cost.decode_step_seconds(&kv_lens) * wp.stall_multiplier(clock);
         clock += step;
         stats.iterations += 1;
         stats.peak_batch = stats.peak_batch.max(running.len());
@@ -545,11 +430,10 @@ pub fn simulate_faulty(
             && rng.below(1000) < u64::from(wp.sdc_permille.min(1000))
         {
             faults.sdc_events += 1;
-            let profile = profile.expect("profile present when sdc_permille > 0");
+            let (profile, sampler) = sdc.expect("fetched when sdc_permille > 0");
             let outcome = if rng.below(1000) < ACC_STRIKE_PERMILLE {
                 profile.accumulator
             } else {
-                let sampler = sampler.expect("sampler present when sdc_permille > 0");
                 *profile.site(sampler.draw(&mut rng).site)
             };
             match outcome.detector {
@@ -623,19 +507,122 @@ pub fn simulate_faulty(
         Some(c) if clock > 0.0 => (c / clock).clamp(0.0, 1.0),
         _ => 1.0,
     };
-    FaultSimOutcome {
-        base: SimOutcome {
-            completed,
-            rejected,
-            stats,
-        },
+    SimOutcome {
+        completed,
+        rejected,
         failed,
         deadline_missed,
         shed,
         corrupted,
         orphans,
+        stats,
         faults,
         availability,
+    }
+}
+
+/// The fault-free continuous-batching loop, kept as the reference that
+/// [`simulate`] must reproduce bit for bit under a fault-free plan (the
+/// zero-fault tests in `pool`). It shares no loop code with [`simulate`].
+#[cfg(test)]
+pub(crate) fn simulate_fault_free(
+    cost: &CostModel,
+    cfg: &SchedulerConfig,
+    trace: &[Request],
+) -> SimOutcome {
+    struct Slot {
+        req: Request,
+        produced: usize,
+        first_token_s: Option<f64>,
+        admitted_s: f64,
+    }
+    let max_batch = cfg.max_batch.max(1);
+    let queue_capacity = cfg.queue_capacity.max(1);
+    let mut clock = 0.0f64;
+    let mut next = 0usize;
+    let mut queue: VecDeque<Request> = VecDeque::new();
+    let mut running: Vec<Slot> = Vec::new();
+    let mut completed: Vec<CompletedRequest> = Vec::new();
+    let mut rejected: Vec<u64> = Vec::new();
+    let mut stats = SimStats::default();
+
+    loop {
+        while next < trace.len() && trace[next].arrival_s <= clock {
+            if queue.len() < queue_capacity {
+                queue.push_back(trace[next]);
+            } else {
+                rejected.push(trace[next].id);
+            }
+            next += 1;
+        }
+        stats.peak_queue = stats.peak_queue.max(queue.len());
+
+        if running.is_empty() && queue.is_empty() {
+            match trace.get(next) {
+                Some(r) => {
+                    clock = r.arrival_s;
+                    continue;
+                }
+                None => break,
+            }
+        }
+
+        while running.len() < max_batch {
+            let Some(req) = queue.pop_front() else { break };
+            let admitted_s = clock;
+            clock += cost.prefill_seconds(req.prompt_len);
+            running.push(Slot {
+                req,
+                produced: 0,
+                first_token_s: None,
+                admitted_s,
+            });
+        }
+
+        let kv_lens: Vec<usize> = running
+            .iter()
+            .map(|r| r.req.prompt_len + r.produced + 1)
+            .collect();
+        clock += cost.decode_step_seconds(&kv_lens);
+        stats.iterations += 1;
+        stats.peak_batch = stats.peak_batch.max(running.len());
+
+        let mut i = 0;
+        while i < running.len() {
+            let r = &mut running[i];
+            r.produced += 1;
+            r.first_token_s.get_or_insert(clock);
+            if r.produced >= r.req.gen_len.max(1) {
+                let r = running.remove(i);
+                completed.push(CompletedRequest {
+                    id: r.req.id,
+                    prompt_len: r.req.prompt_len,
+                    gen_len: r.req.gen_len.max(1),
+                    arrival_s: r.req.arrival_s,
+                    admitted_s: r.admitted_s,
+                    first_token_s: r.first_token_s.unwrap_or(clock),
+                    finished_s: clock,
+                });
+            } else {
+                i += 1;
+            }
+        }
+    }
+
+    stats.end_s = clock;
+    completed.sort_by_key(|c| c.id);
+    rejected.sort_unstable();
+    SimOutcome {
+        completed,
+        rejected,
+        failed: Vec::new(),
+        deadline_missed: Vec::new(),
+        shed: Vec::new(),
+        corrupted: Vec::new(),
+        orphans: Vec::new(),
+        stats,
+        faults: FaultStats::default(),
+        availability: 1.0,
     }
 }
 
@@ -648,6 +635,18 @@ mod tests {
 
     fn cost() -> CostModel {
         CostModel::new(Accelerator::owlp(), ModelId::Gpt2Base, Dataset::WikiText2)
+    }
+
+    /// One fault-free worker: the empty plan under the default policy.
+    fn run(cm: &CostModel, cfg: &SchedulerConfig, trace: &[Request]) -> SimOutcome {
+        simulate(
+            cm,
+            cfg,
+            &RecoveryPolicy::default(),
+            &FaultPlan::default(),
+            0,
+            trace,
+        )
     }
 
     fn trace(rate_rps: f64, requests: usize) -> Vec<Request> {
@@ -665,7 +664,7 @@ mod tests {
     fn every_request_is_accounted_for() {
         let cm = cost();
         let t = trace(50.0, 200);
-        let out = simulate(&cm, &SchedulerConfig::default(), &t);
+        let out = run(&cm, &SchedulerConfig::default(), &t);
         assert_eq!(out.completed.len() + out.rejected.len(), t.len());
         assert!(out.stats.peak_batch <= 32);
     }
@@ -673,7 +672,7 @@ mod tests {
     #[test]
     fn latencies_are_causally_ordered() {
         let cm = cost();
-        let out = simulate(&cm, &SchedulerConfig::default(), &trace(20.0, 100));
+        let out = run(&cm, &SchedulerConfig::default(), &trace(20.0, 100));
         for c in &out.completed {
             assert!(c.admitted_s >= c.arrival_s, "req {}", c.id);
             assert!(c.first_token_s > c.admitted_s, "req {}", c.id);
@@ -687,8 +686,8 @@ mod tests {
     fn runs_are_deterministic() {
         let cm = cost();
         let t = trace(30.0, 150);
-        let a = simulate(&cm, &SchedulerConfig::default(), &t);
-        let b = simulate(&cm, &SchedulerConfig::default(), &t);
+        let a = run(&cm, &SchedulerConfig::default(), &t);
+        let b = run(&cm, &SchedulerConfig::default(), &t);
         assert_eq!(a, b);
     }
 
@@ -699,9 +698,9 @@ mod tests {
             max_batch: 4,
             queue_capacity: 4,
         };
-        let calm = simulate(&cm, &cfg, &trace(5.0, 100));
+        let calm = run(&cm, &cfg, &trace(5.0, 100));
         assert!(calm.rejected.is_empty(), "{:?}", calm.rejected.len());
-        let slam = simulate(&cm, &cfg, &trace(100_000.0, 400));
+        let slam = run(&cm, &cfg, &trace(100_000.0, 400));
         assert!(!slam.rejected.is_empty());
         assert_eq!(slam.completed.len() + slam.rejected.len(), 400);
     }
@@ -714,7 +713,7 @@ mod tests {
             queue_capacity: 512,
         };
         let wait = |rate: f64| {
-            let out = simulate(&cm, &cfg, &trace(rate, 120));
+            let out = run(&cm, &cfg, &trace(rate, 120));
             out.completed
                 .iter()
                 .map(|c| c.admitted_s - c.arrival_s)

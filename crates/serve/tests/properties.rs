@@ -1,13 +1,14 @@
 //! Property tests for the scheduler invariants, fault-tolerance
-//! machinery, and percentile math.
+//! machinery, and percentile math. The zero-fault property lives beside
+//! its fault-free oracle, in the `pool` module's unit tests.
 
 use owlp_core::Accelerator;
 use owlp_model::{Dataset, ModelId};
-use owlp_serve::metrics::{percentile_sorted, LatencySummary, Percentiles};
-use owlp_serve::request::{ArrivalProcess, LengthDistribution, TraceSpec};
+use owlp_serve::metrics::{percentile_sorted, Percentiles};
+use owlp_serve::request::{ArrivalProcess, LengthDistribution, Request, TraceSpec};
 use owlp_serve::{
-    backoff_delay_s, scheduler, simulate_pool, simulate_pool_faulty, summarize, summarize_faults,
-    CostModel, FaultPlan, FaultPoolConfig, PoolConfig, RecoveryPolicy, SchedulerConfig,
+    backoff_delay_s, scheduler, simulate_pool, CostModel, FaultPlan, PoolConfig, RecoveryPolicy,
+    SchedulerConfig, SimOutcome,
 };
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -17,6 +18,18 @@ use std::sync::OnceLock;
 fn cost() -> &'static CostModel {
     static COST: OnceLock<CostModel> = OnceLock::new();
     COST.get_or_init(|| CostModel::new(Accelerator::owlp(), ModelId::Gpt2Base, Dataset::WikiText2))
+}
+
+/// One fault-free worker: the empty plan under the default policy.
+fn simulate(cfg: &SchedulerConfig, trace: &[Request]) -> SimOutcome {
+    scheduler::simulate(
+        cost(),
+        cfg,
+        &RecoveryPolicy::default(),
+        &FaultPlan::default(),
+        0,
+        trace,
+    )
 }
 
 fn trace_spec() -> impl Strategy<Value = TraceSpec> {
@@ -67,7 +80,7 @@ proptest! {
     #[test]
     fn no_request_starves(spec in trace_spec(), cfg in config()) {
         let trace = spec.generate();
-        let out = scheduler::simulate(cost(), &cfg, &trace);
+        let out = simulate(&cfg, &trace);
         prop_assert_eq!(out.completed.len() + out.rejected.len(), trace.len());
         let mut ids: Vec<u64> = out
             .completed
@@ -85,7 +98,7 @@ proptest! {
     #[test]
     fn batches_respect_capacity(spec in trace_spec(), cfg in config()) {
         let trace = spec.generate();
-        let out = scheduler::simulate(cost(), &cfg, &trace);
+        let out = simulate(&cfg, &trace);
         prop_assert!(out.stats.peak_batch <= cfg.max_batch.max(1));
         prop_assert!(out.stats.peak_queue <= cfg.queue_capacity.max(1));
         for c in &out.completed {
@@ -99,8 +112,8 @@ proptest! {
     #[test]
     fn simulation_is_deterministic(spec in trace_spec(), cfg in config()) {
         let trace = spec.generate();
-        let a = scheduler::simulate(cost(), &cfg, &trace);
-        let b = scheduler::simulate(cost(), &cfg, &trace);
+        let a = simulate(&cfg, &trace);
+        let b = simulate(&cfg, &trace);
         prop_assert_eq!(a, b);
     }
 
@@ -127,20 +140,6 @@ proptest! {
         let p = Percentiles::of(&values);
         prop_assert_eq!(p.p50, percentile_sorted(&sorted, 0.50));
         prop_assert_eq!(p.p99, percentile_sorted(&sorted, 0.99));
-    }
-
-    /// The selection-based [`LatencySummary`] equals the sort-based
-    /// [`Percentiles::of`] oracle on any sample, including heavy ties
-    /// (values drawn from a 12-point grid).
-    #[test]
-    fn selection_percentiles_match_sort_oracle(
-        values in prop::collection::vec(0u8..12, 0..200),
-    ) {
-        let values: Vec<f64> = values.into_iter().map(|v| v as f64 * 2.5).collect();
-        prop_assert_eq!(
-            LatencySummary::new(values.clone()).percentiles(),
-            Percentiles::of(&values)
-        );
     }
 
     /// The retry/backoff schedule is deterministic, monotone non-decreasing
@@ -171,37 +170,6 @@ proptest! {
         }
     }
 
-    /// A zero fault plan is invisible: the fault-aware pool produces a
-    /// bit-identical base outcome — and a bit-identical metrics summary —
-    /// to the plain pool, for any trace and pool shape.
-    #[test]
-    fn zero_fault_plan_is_bit_identical_to_plain_path(
-        spec in trace_spec(),
-        cfg in config(),
-        workers in 1usize..5,
-    ) {
-        let trace = spec.generate();
-        let pool = PoolConfig { workers, scheduler: cfg };
-        let fault_cfg = FaultPoolConfig {
-            plan: FaultPlan::none(workers),
-            recovery: RecoveryPolicy::default(),
-            failover_delay_s: 0.05,
-            pool,
-        };
-        let plain = simulate_pool(cost(), &pool, &trace).unwrap();
-        let faulty = simulate_pool_faulty(cost(), &fault_cfg, &trace).unwrap();
-        prop_assert_eq!(&faulty.base, &plain);
-        prop_assert!(faulty.failed.is_empty());
-        prop_assert!(faulty.deadline_missed.is_empty());
-        prop_assert!(faulty.shed.is_empty());
-        prop_assert!(faulty.corrupted.is_empty());
-        prop_assert!(faulty.orphans.is_empty());
-        prop_assert_eq!(faulty.availability, 1.0);
-        let report = summarize_faults("x", 1.0, &faulty);
-        prop_assert_eq!(&report.summary, &summarize("x", 1.0, &plain));
-        prop_assert_eq!(report.goodput_under_faults_rps, report.summary.goodput_rps);
-    }
-
     /// Killing workers never loses or duplicates a request id: completed,
     /// rejected, failed, deadline-missed, and shed partition the trace
     /// exactly, and the pool leaves no orphan behind.
@@ -224,16 +192,17 @@ proptest! {
                 p.crash_at_s = Some(span * frac);
             }
         }
-        let fault_cfg = FaultPoolConfig {
+        let pool = PoolConfig {
+            workers,
+            scheduler: cfg,
             plan,
-            recovery: RecoveryPolicy::default(),
             failover_delay_s: 0.02,
-            pool: PoolConfig { workers, scheduler: cfg },
+            ..PoolConfig::default()
         };
-        let out = simulate_pool_faulty(cost(), &fault_cfg, &trace).unwrap();
+        let out = simulate_pool(cost(), &pool, &trace).unwrap();
         prop_assert!(out.orphans.is_empty());
-        let mut ids: Vec<u64> = out.base.completed.iter().map(|c| c.id).collect();
-        ids.extend(&out.base.rejected);
+        let mut ids: Vec<u64> = out.completed.iter().map(|c| c.id).collect();
+        ids.extend(&out.rejected);
         ids.extend(&out.failed);
         ids.extend(&out.deadline_missed);
         ids.extend(&out.shed);
@@ -242,6 +211,6 @@ proptest! {
         expected.sort_unstable();
         prop_assert_eq!(ids, expected);
         // And the fault-injected run replays bit-for-bit.
-        prop_assert_eq!(&out, &simulate_pool_faulty(cost(), &fault_cfg, &trace).unwrap());
+        prop_assert_eq!(&out, &simulate_pool(cost(), &pool, &trace).unwrap());
     }
 }

@@ -34,6 +34,7 @@ fn main() {
             max_batch: 16,
             queue_capacity: 32,
         },
+        ..PoolConfig::default()
     };
     println!("GPT2-Base serving, 4-worker array pool, batch 16, queue 32");
     for rate in [50.0, 200.0, 800.0, 3200.0] {
@@ -47,9 +48,9 @@ fn main() {
         .generate();
         println!("\noffered load {rate:.0} req/s ({} requests):", trace.len());
         for acc in [Accelerator::baseline(), Accelerator::owlp()] {
-            let s = serve_trace(acc, ModelId::Gpt2Base, Dataset::WikiText2, &pool, &trace)
+            let r = serve_trace(acc, ModelId::Gpt2Base, Dataset::WikiText2, &pool, &trace)
                 .expect("example pool config is valid");
-            print_summary(&s);
+            print_summary(&r.summary);
         }
     }
 }

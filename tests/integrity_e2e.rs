@@ -64,8 +64,8 @@ fn serving_sdc_accounting_is_bit_identical_across_thread_budgets() {
     use owlp_core::Accelerator;
     use owlp_model::{Dataset, ModelId};
     use owlp_serve::{
-        serve_trace_faulty, ArrivalProcess, FaultPoolConfig, FaultSpec, LengthDistribution,
-        PoolConfig, RecoveryPolicy, SchedulerConfig, TraceSpec,
+        serve_trace, ArrivalProcess, FaultSpec, LengthDistribution, PoolConfig, SchedulerConfig,
+        TraceSpec,
     };
 
     let trace = TraceSpec {
@@ -76,13 +76,7 @@ fn serving_sdc_accounting_is_bit_identical_across_thread_budgets() {
         seed: 0x1E57,
     }
     .generate();
-    let pool = PoolConfig {
-        workers: 4,
-        scheduler: SchedulerConfig {
-            max_batch: 16,
-            queue_capacity: 32,
-        },
-    };
+    let workers = 4;
     let spec = FaultSpec {
         seed: 0x5DC,
         horizon_s: trace.last().unwrap().arrival_s,
@@ -93,14 +87,17 @@ fn serving_sdc_accounting_is_bit_identical_across_thread_budgets() {
         iter_fail_permille: 0,
         sdc_permille: 60,
     };
-    let cfg = FaultPoolConfig {
-        plan: spec.plan(pool.workers),
-        recovery: RecoveryPolicy::default(),
-        failover_delay_s: 0.05,
-        pool,
+    let cfg = PoolConfig {
+        workers,
+        scheduler: SchedulerConfig {
+            max_batch: 16,
+            queue_capacity: 32,
+        },
+        plan: spec.plan(workers),
+        ..PoolConfig::default()
     };
     let run = || {
-        serve_trace_faulty(
+        serve_trace(
             Accelerator::owlp(),
             ModelId::Gpt2Base,
             Dataset::WikiText2,

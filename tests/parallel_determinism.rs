@@ -12,8 +12,8 @@ use owlp_repro::arith::{exact_gemm, owlp_gemm, KulischAcc};
 use owlp_repro::format::{encode_tensor, Bf16};
 use owlp_repro::par::with_threads;
 use owlp_repro::serve::{
-    simulate_pool, simulate_pool_faulty, summarize_faults, ArrivalProcess, CostModel, FaultPlan,
-    FaultPoolConfig, LengthDistribution, PoolConfig, RecoveryPolicy, SchedulerConfig, TraceSpec,
+    simulate_pool, summarize, ArrivalProcess, CostModel, FaultPlan, LengthDistribution, PoolConfig,
+    SchedulerConfig, TraceSpec,
 };
 use owlp_repro::systolic::{event_sim, ArrayConfig};
 use owlp_repro::{core::Accelerator, model::Dataset, model::ModelId};
@@ -235,8 +235,8 @@ fn concurrent_decode_callers_match_the_single_thread_output() {
     }
 }
 
-/// The serving pool — plain, and fault-injected with crash-ordered orphan
-/// re-dispatch — replays bit-for-bit at every thread count, down to the
+/// The serving pool — fault-free, and fault-injected with crash-ordered
+/// orphan re-dispatch — replays bit-for-bit at every thread count, down to the
 /// metrics roll-up. One deterministic heavyweight case rather than a
 /// proptest: the cost model's shape tables make each run expensive.
 #[test]
@@ -255,29 +255,31 @@ fn faulty_pool_is_thread_count_invariant() {
     // Two staggered crashes so failover and orphan re-dispatch both fire.
     plan.workers[1].crash_at_s = Some(0.05);
     plan.workers[3].crash_at_s = Some(0.11);
-    let cfg = FaultPoolConfig {
-        plan,
-        recovery: RecoveryPolicy::default(),
-        failover_delay_s: 0.02,
-        pool: PoolConfig {
-            workers,
-            scheduler: SchedulerConfig {
-                max_batch: 8,
-                queue_capacity: 16,
-            },
+    let cfg = PoolConfig {
+        workers,
+        scheduler: SchedulerConfig {
+            max_batch: 8,
+            queue_capacity: 16,
         },
+        plan,
+        failover_delay_s: 0.02,
+        ..PoolConfig::default()
     };
-    let plain = with_threads(1, || simulate_pool(&cost, &cfg.pool, &trace)).unwrap();
-    let serial = with_threads(1, || simulate_pool_faulty(&cost, &cfg, &trace)).unwrap();
+    let healthy = PoolConfig {
+        plan: FaultPlan::default(),
+        ..cfg.clone()
+    };
+    let plain = with_threads(1, || simulate_pool(&cost, &healthy, &trace)).unwrap();
+    let serial = with_threads(1, || simulate_pool(&cost, &cfg, &trace)).unwrap();
     assert!(serial.faults.crashed_workers > 0, "fault plan must fire");
-    let serial_report = summarize_faults("owlp", 300.0, &serial);
+    let serial_report = summarize("owlp", 300.0, &serial);
     for t in THREADS {
-        let par = with_threads(t, || simulate_pool(&cost, &cfg.pool, &trace)).unwrap();
-        assert_eq!(par, plain, "{t} threads (plain pool)");
-        let par = with_threads(t, || simulate_pool_faulty(&cost, &cfg, &trace)).unwrap();
+        let par = with_threads(t, || simulate_pool(&cost, &healthy, &trace)).unwrap();
+        assert_eq!(par, plain, "{t} threads (fault-free pool)");
+        let par = with_threads(t, || simulate_pool(&cost, &cfg, &trace)).unwrap();
         assert_eq!(par, serial, "{t} threads");
         assert_eq!(
-            summarize_faults("owlp", 300.0, &par),
+            summarize("owlp", 300.0, &par),
             serial_report,
             "{t} threads (metrics)"
         );

@@ -8,9 +8,8 @@
 use owlp_core::Accelerator;
 use owlp_model::{Dataset, ModelId};
 use owlp_serve::{
-    serve_trace_faulty, simulate_pool_faulty, ArrivalProcess, CostModel, FaultPlan,
-    FaultPoolConfig, FaultSpec, LengthDistribution, PoolConfig, RecoveryPolicy, Request,
-    SchedulerConfig, TraceSpec,
+    serve_trace, simulate_pool, ArrivalProcess, CostModel, FaultPlan, FaultSpec,
+    LengthDistribution, PoolConfig, RecoveryPolicy, Request, SchedulerConfig, TraceSpec,
 };
 
 const SEED: u64 = 0x0DD5_EED5;
@@ -27,22 +26,20 @@ fn trace(rate_rps: f64, requests: usize) -> Vec<Request> {
 }
 
 /// 4 workers, worker 1 killed in the middle of the arrival span.
-fn kill_one_config(trace: &[Request]) -> FaultPoolConfig {
+fn kill_one_config(trace: &[Request]) -> PoolConfig {
     let mut plan = FaultPlan::none(4);
     plan.workers[1].crash_at_s = Some(trace[trace.len() / 2].arrival_s);
-    FaultPoolConfig {
+    PoolConfig {
         plan,
         recovery: RecoveryPolicy {
             deadline_s: Some(2.0),
             ..RecoveryPolicy::default()
         },
         failover_delay_s: 0.05,
-        pool: PoolConfig {
-            workers: 4,
-            scheduler: SchedulerConfig {
-                max_batch: 16,
-                queue_capacity: 32,
-            },
+        workers: 4,
+        scheduler: SchedulerConfig {
+            max_batch: 16,
+            queue_capacity: 32,
         },
     }
 }
@@ -52,12 +49,12 @@ fn killed_worker_mid_run_loses_nothing_and_replays_bit_for_bit() {
     let t = trace(400.0, 192);
     let cfg = kill_one_config(&t);
     let cost = CostModel::new(Accelerator::owlp(), ModelId::Gpt2Base, Dataset::WikiText2);
-    let out = simulate_pool_faulty(&cost, &cfg, &t).unwrap();
+    let out = simulate_pool(&cost, &cfg, &t).unwrap();
 
     // Every admitted request completes or is explicitly shed /
     // deadline-missed / rejected — the ids partition the trace exactly.
-    let mut ids: Vec<u64> = out.base.completed.iter().map(|c| c.id).collect();
-    ids.extend(&out.base.rejected);
+    let mut ids: Vec<u64> = out.completed.iter().map(|c| c.id).collect();
+    ids.extend(&out.rejected);
     ids.extend(&out.failed);
     ids.extend(&out.deadline_missed);
     ids.extend(&out.shed);
@@ -73,12 +70,12 @@ fn killed_worker_mid_run_loses_nothing_and_replays_bit_for_bit() {
 
     // Survivors actually absorbed work: the pool still completes most of
     // the trace.
-    assert!(out.base.completed.len() > t.len() / 2);
+    assert!(out.completed.len() > t.len() / 2);
 
     // Bit-for-bit reproducible across two fully independent invocations
     // (fresh cost model, fresh thread pool).
     let cost2 = CostModel::new(Accelerator::owlp(), ModelId::Gpt2Base, Dataset::WikiText2);
-    let again = simulate_pool_faulty(&cost2, &cfg, &t).unwrap();
+    let again = simulate_pool(&cost2, &cfg, &t).unwrap();
     assert_eq!(out, again);
 }
 
@@ -87,7 +84,7 @@ fn fault_report_is_reproducible_and_degrades_gracefully() {
     let t = trace(400.0, 192);
     let cfg = kill_one_config(&t);
     let run = || {
-        serve_trace_faulty(
+        serve_trace(
             Accelerator::owlp(),
             ModelId::Gpt2Base,
             Dataset::WikiText2,
@@ -105,11 +102,11 @@ fn fault_report_is_reproducible_and_degrades_gracefully() {
     assert!(a.goodput_under_faults_rps <= a.summary.goodput_rps);
 
     // The same trace on a healthy pool of the same shape does better.
-    let healthy = FaultPoolConfig {
+    let healthy = PoolConfig {
         plan: FaultPlan::none(4),
         ..cfg.clone()
     };
-    let h = serve_trace_faulty(
+    let h = serve_trace(
         Accelerator::owlp(),
         ModelId::Gpt2Base,
         Dataset::WikiText2,
@@ -134,21 +131,18 @@ fn seeded_fault_specs_reproduce_across_invocations() {
         iter_fail_permille: 30,
         sdc_permille: 30,
     };
-    let cfg = FaultPoolConfig {
-        plan: spec.plan(4),
-        recovery: RecoveryPolicy::default(),
-        failover_delay_s: 0.05,
-        pool: PoolConfig {
-            workers: 4,
-            scheduler: SchedulerConfig {
-                max_batch: 16,
-                queue_capacity: 32,
-            },
+    let cfg = PoolConfig {
+        workers: 4,
+        scheduler: SchedulerConfig {
+            max_batch: 16,
+            queue_capacity: 32,
         },
+        plan: spec.plan(4),
+        ..PoolConfig::default()
     };
     let cost = CostModel::new(Accelerator::owlp(), ModelId::Gpt2Base, Dataset::WikiText2);
-    let a = simulate_pool_faulty(&cost, &cfg, &t).unwrap();
-    let b = simulate_pool_faulty(&cost, &cfg, &t).unwrap();
+    let a = simulate_pool(&cost, &cfg, &t).unwrap();
+    let b = simulate_pool(&cost, &cfg, &t).unwrap();
     assert_eq!(a, b);
     // The plan itself regenerates identically from its seed.
     assert_eq!(spec.plan(4), cfg.plan);

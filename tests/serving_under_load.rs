@@ -1,14 +1,13 @@
-//! End-to-end serving pipeline: trace generation → JSON replay →
-//! multi-worker pool simulation → percentile roll-up, for both design
-//! points. Pins the acceptance-level claims: seed-reproducible metrics
+//! End-to-end serving pipeline: trace generation → multi-worker pool
+//! simulation → percentile roll-up, for both design points. Pins the acceptance-level claims: seed-reproducible metrics
 //! from a ≥4-thread pool, strictly higher OwL-P goodput, and admission
 //! backpressure under overload.
 
 use owlp_core::Accelerator;
 use owlp_model::{Dataset, ModelId};
 use owlp_serve::{
-    serve_trace, simulate_pool, ArrivalProcess, CostModel, LengthDistribution, PoolConfig, Request,
-    SchedulerConfig, Trace, TraceSpec,
+    serve_trace, ArrivalProcess, LengthDistribution, PoolConfig, Request, SchedulerConfig,
+    ServingSummary, TraceSpec,
 };
 
 const SEED: u64 = 0x0DD5_EED5;
@@ -31,7 +30,21 @@ fn pool(queue_capacity: usize) -> PoolConfig {
             max_batch: 16,
             queue_capacity,
         },
+        ..PoolConfig::default()
     }
+}
+
+/// Serves `trace` on a 4-worker GPT2-Base pool and returns the summary.
+fn serve(acc: Accelerator, queue_capacity: usize, trace: &[Request]) -> ServingSummary {
+    serve_trace(
+        acc,
+        ModelId::Gpt2Base,
+        Dataset::WikiText2,
+        &pool(queue_capacity),
+        trace,
+    )
+    .unwrap()
+    .summary
 }
 
 #[test]
@@ -40,16 +53,7 @@ fn four_worker_pool_is_seed_reproducible() {
     // Same seed → identical trace → identical metrics, across repeated
     // threaded runs and across independently constructed cost models.
     assert_eq!(t, trace(400.0, 160));
-    let run = || {
-        serve_trace(
-            Accelerator::owlp(),
-            ModelId::Gpt2Base,
-            Dataset::WikiText2,
-            &pool(64),
-            &t,
-        )
-        .unwrap()
-    };
+    let run = || serve(Accelerator::owlp(), 64, &t);
     let a = run();
     let b = run();
     assert_eq!(a, b);
@@ -67,27 +71,11 @@ fn four_worker_pool_is_seed_reproducible() {
 }
 
 #[test]
-fn replayed_json_trace_reproduces_the_run() {
-    let t = trace(200.0, 96);
-    let json = Trace::new(t.clone()).to_json().unwrap();
-    let replayed = Trace::from_json(&json).unwrap().requests;
-    let cost = CostModel::new(Accelerator::owlp(), ModelId::Gpt2Base, Dataset::WikiText2);
-    let cfg = pool(64);
-    assert_eq!(
-        simulate_pool(&cost, &cfg, &t).unwrap(),
-        simulate_pool(&cost, &cfg, &replayed).unwrap()
-    );
-}
-
-#[test]
 fn owlp_outserves_the_baseline() {
     for rate in [200.0, 1_600.0] {
         let t = trace(rate, 192);
-        let serve = |acc: Accelerator| {
-            serve_trace(acc, ModelId::Gpt2Base, Dataset::WikiText2, &pool(64), &t).unwrap()
-        };
-        let base = serve(Accelerator::baseline());
-        let owlp = serve(Accelerator::owlp());
+        let base = serve(Accelerator::baseline(), 64, &t);
+        let owlp = serve(Accelerator::owlp(), 64, &t);
         assert!(
             owlp.goodput_rps > base.goodput_rps,
             "owlp {} <= baseline {} at {rate} req/s",
@@ -103,21 +91,11 @@ fn owlp_outserves_the_baseline() {
 fn overload_triggers_rejections_that_back_off_with_capacity() {
     // A short queue under a heavy burst must shed load...
     let t = trace(20_000.0, 256);
-    let serve = |cap: usize| {
-        serve_trace(
-            Accelerator::baseline(),
-            ModelId::Gpt2Base,
-            Dataset::WikiText2,
-            &pool(cap),
-            &t,
-        )
-        .unwrap()
-    };
-    let tight = serve(4);
+    let tight = serve(Accelerator::baseline(), 4, &t);
     assert!(tight.rejected > 0);
     assert!(tight.rejection_rate > 0.0 && tight.rejection_rate < 1.0);
     // ...and a deeper queue sheds no more than the tight one.
-    let deep = serve(512);
+    let deep = serve(Accelerator::baseline(), 512, &t);
     assert!(deep.rejected <= tight.rejected);
     assert_eq!(deep.completed + deep.rejected, t.len());
 }
