@@ -39,7 +39,7 @@
 //! Every entry point has a scalar reference implementation ([`scalar`],
 //! the always-on oracle) plus optional SIMD tiers: SSE2 and AVX2 on
 //! x86-64 (`x86.rs`), NEON on aarch64 (`neon.rs`). A tier is selected once
-//! per process ([`dispatch::selected_tier`]) from runtime CPU detection
+//! per process ([`selected_tier`]) from runtime CPU detection
 //! and the `OWLP_SIMD=scalar|sse2|avx2|neon|auto` override; tests force
 //! tiers per-scope with [`with_tier`]. The GEMM drive loop resolves the
 //! tier *before* fanning out to the thread pool and calls the `*_with`
@@ -62,14 +62,14 @@
 //! The exact oracle [`crate::exact::exact_gemm`] calls none of these
 //! kernels: it shares no fast code with the path it judges.
 
-pub mod dispatch;
 #[cfg(target_arch = "aarch64")]
 mod neon;
 pub mod scalar;
 #[cfg(target_arch = "x86_64")]
 mod x86;
 
-pub use dispatch::{
+use owlp_format::simd::clamp;
+pub use owlp_format::simd::{
     available_tiers, detected_features, env_request, selected_tier, with_tier, KernelTier, ENV_SIMD,
 };
 
@@ -111,7 +111,7 @@ fn tile_mul_i16_with<const R: usize>(
     debug_assert!(seg <= K_SPILL, "segment longer than the spill period");
     debug_assert!(a_rows.iter().all(|r| r.len() == seg));
     debug_assert!(panel.len() >= seg * NR, "panel shorter than the K segment");
-    match dispatch::clamp(tier) {
+    match clamp(tier) {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `clamp` only yields Avx2 when runtime detection saw it.
         KernelTier::Avx2 => unsafe { x86::tile_mul_i16_avx2(a_rows, panel, lanes) },
@@ -143,7 +143,7 @@ pub fn tile_dot_i16_with<const R: usize>(
     panel: &[i16],
     win0: WindowAcc,
 ) -> [[WindowAcc; NR]; R] {
-    let tier = dispatch::clamp(tier);
+    let tier = clamp(tier);
     let k = a_rows[0].len();
     debug_assert!(panel.len() >= k * NR);
     let mut wins = [[win0; NR]; R];
@@ -175,7 +175,7 @@ pub fn dot_sval(a: &[i16], b: &[i16], win0: WindowAcc) -> WindowAcc {
 /// [`dot_sval`] on an explicit tier (clamped once up front).
 #[inline]
 pub fn dot_sval_with(tier: KernelTier, a: &[i16], b: &[i16], win0: WindowAcc) -> WindowAcc {
-    let tier = dispatch::clamp(tier);
+    let tier = clamp(tier);
     let len = a.len().min(b.len());
     let mut win = win0;
     let mut s = 0usize;
@@ -231,7 +231,7 @@ pub fn band_dot_with(
 ) -> [i64; NR] {
     debug_assert_eq!(depths.len(), coefs.len());
     debug_assert!(depths.len() <= owlp_format::bands::BAND_MAX_RECORDS);
-    match dispatch::clamp(tier) {
+    match clamp(tier) {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `clamp` only yields Avx2 when runtime detection saw it.
         KernelTier::Avx2 => unsafe { x86::band_dot_avx2(depths, coefs, panel, counts) },

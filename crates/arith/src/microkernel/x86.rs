@@ -1,5 +1,5 @@
 //! x86-64 SIMD tiers: SSE2 (baseline, always safe to call) and AVX2
-//! (guarded by runtime detection in [`super::dispatch`]).
+//! (guarded by runtime detection in `owlp_format::simd`).
 //!
 //! ## Why `madd_epi16` is exact here
 //!
@@ -103,7 +103,7 @@ pub fn tile_mul_i16_sse2<const R: usize>(
 /// sixteen ymm registers, so the inner loop stays spill-free.
 ///
 /// # Safety
-/// The caller must have verified AVX2 support (`dispatch::clamp` /
+/// The caller must have verified AVX2 support (`owlp_format::simd::clamp` /
 /// `available_tiers`).
 #[target_feature(enable = "avx2")]
 pub unsafe fn tile_mul_i16_avx2<const R: usize>(
@@ -207,7 +207,7 @@ pub unsafe fn dot_seg_avx2(a: &[i16], b: &[i16]) -> i64 {
 /// broadcast coefficient. Same per-lane sum as the scalar oracle.
 ///
 /// # Safety
-/// The caller must have verified AVX2 support (`dispatch::clamp` /
+/// The caller must have verified AVX2 support (`owlp_format::simd::clamp` /
 /// `available_tiers`).
 #[target_feature(enable = "avx2")]
 pub unsafe fn band_dot_avx2(

@@ -125,19 +125,6 @@ impl WindowAcc {
         self.acc += v << (frame - self.lo);
     }
 
-    /// Adds another window's exact value (`other.lo ≥ self.lo`; the caller
-    /// proves the combined sum fits, e.g. by sizing `self` with
-    /// [`WindowAcc::for_span`] over both workloads).
-    pub fn add_window(&mut self, other: &WindowAcc) {
-        debug_assert!(
-            other.lo >= self.lo,
-            "window frame {} below target window {}",
-            other.lo,
-            self.lo
-        );
-        self.acc += other.acc << (other.lo - self.lo);
-    }
-
     /// The raw accumulator word (the exact value is `raw × 2^frame`) — the
     /// ABFT checksum input: integer row/column sums over these words obey
     /// the same closed arithmetic as the data itself.

@@ -4,27 +4,19 @@
 //! `max(compute, transfer)` overlap; this module lowers the same ops into
 //! [`PhaseSpec`]s — fold groups racing their stationary-tile fetches on
 //! the per-channel HBM model — and aggregates the event-driven results
-//! into a roofline report. The lowering reuses the accelerator's own
+//! into a [`RooflineReport`]. The lowering reuses the accelerator's own
 //! compute model (Eq. 4 fold structure) and compressed bytes-per-element,
 //! so compute cycles agree exactly with [`Accelerator::op_report`]; only
 //! the memory side gains fidelity (channel skew, burst padding, prefetch
 //! depth, outlier-buffer spill).
 
 use crate::accel::Accelerator;
+use crate::roofline::RooflineReport;
 use owlp_mem::tiles::tile_outlier_entries;
-use owlp_mem::{CosimEngine, PhaseClass, PhaseSpec, RooflineReport};
+use owlp_mem::{CosimEngine, PhaseSpec};
 use owlp_model::profiles::Dataset;
-use owlp_model::{GemmOp, Phase, Workload};
+use owlp_model::{GemmOp, Workload};
 use owlp_systolic::cycle_model;
-
-/// Maps a workload phase tag onto the co-simulator's class.
-pub fn phase_class(phase: Phase) -> PhaseClass {
-    match phase {
-        Phase::Single => PhaseClass::Single,
-        Phase::Prefill => PhaseClass::Prefill,
-        Phase::Decode => PhaseClass::Decode,
-    }
-}
 
 /// A co-sim engine over this accelerator's memory system and clock.
 pub fn engine_for(acc: &Accelerator) -> CosimEngine {
@@ -65,7 +57,6 @@ pub fn op_phase_spec(
     };
     PhaseSpec {
         label: format!("{:?}/{}", op.phase, op.kind).to_lowercase(),
-        class: phase_class(op.phase),
         groups,
         compute_cycles_per_group: b.per_fold,
         tile_bytes_per_group: tile_bytes,
@@ -78,22 +69,26 @@ pub fn op_phase_spec(
     }
 }
 
-/// Co-simulates a whole workload and aggregates the per-op results into a
-/// roofline report (per-phase-class verdicts included).
+/// Co-simulates a whole workload and aggregates the per-op results, each
+/// tagged with its op's phase, into a roofline report (per-phase verdicts
+/// included).
 pub fn cosim_workload(acc: &Accelerator, workload: &Workload, dataset: Dataset) -> RooflineReport {
     let engine = engine_for(acc);
-    let results = workload
+    let results: Vec<_> = workload
         .ops
         .iter()
-        .map(|op| engine.run_phase(&op_phase_spec(acc, workload, op, dataset)))
+        .map(|op| {
+            let spec = op_phase_spec(acc, workload, op, dataset);
+            (op.phase, engine.run_phase(&spec))
+        })
         .collect();
-    RooflineReport::new(&acc.design().memory, engine.clock_hz(), results)
+    RooflineReport::new(&acc.design().memory, engine.clock_hz(), &results)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use owlp_model::{workload, ModelId};
+    use owlp_model::{workload, ModelId, Phase};
 
     const PAPER_BATCH: usize = 32;
 
@@ -118,8 +113,8 @@ mod tests {
         let wl = workload::generation_workload(ModelId::Llama2_7b, PAPER_BATCH, 128, 64);
         let acc = Accelerator::owlp();
         let report = cosim_workload(&acc, &wl, Dataset::WikiText2);
-        let dec = report.class_aggregate(PhaseClass::Decode).unwrap();
-        let pre = report.class_aggregate(PhaseClass::Prefill).unwrap();
+        let dec = report.class_aggregate(Phase::Decode).unwrap();
+        let pre = report.class_aggregate(Phase::Prefill).unwrap();
         assert!(dec.memory_bound, "decode must be bandwidth-bound");
         assert!(!pre.memory_bound, "prefill must be compute-bound");
         assert!(report.bytes_conserved());
@@ -177,8 +172,8 @@ mod tests {
         let wl = workload::generation_workload(ModelId::Llama2_7b, PAPER_BATCH, 128, 16);
         let base = cosim_workload(&Accelerator::baseline(), &wl, Dataset::WikiText2);
         let owlp = cosim_workload(&Accelerator::owlp(), &wl, Dataset::WikiText2);
-        let bd = base.class_aggregate(PhaseClass::Decode).unwrap();
-        let od = owlp.class_aggregate(PhaseClass::Decode).unwrap();
+        let bd = base.class_aggregate(Phase::Decode).unwrap();
+        let od = owlp.class_aggregate(Phase::Decode).unwrap();
         assert!(od.fetched_bytes < bd.fetched_bytes);
         // Same 500 MHz clock on both designs: compare cycles directly.
         assert_eq!(base.clock_hz, owlp.clock_hz);

@@ -13,8 +13,10 @@
 //!   [`report::Comparison`] for speedup / energy-savings ratios.
 //! * [`workloads`] — the ten evaluation workloads of Fig. 11.
 //! * [`cosim`] — the bridge to the `owlp-mem` HBM/SRAM co-simulator:
-//!   per-op fold groups racing their tile fetches, with roofline
-//!   aggregation per serving phase.
+//!   per-op fold groups racing their tile fetches, aggregated per serving
+//!   phase into a [`roofline::RooflineReport`].
+//! * [`roofline`] — the closed-form per-op roofline placement and the
+//!   per-phase co-simulated aggregates, side by side.
 //! * [`numeric`] — end-to-end numerical-equivalence verification: synthetic
 //!   layers run through the full encode → INT-array → FP pipeline and
 //!   compared bit-for-bit against the exact FP reference.

@@ -134,11 +134,6 @@ impl<'a> BitReader<'a> {
     pub fn align_to_byte(&mut self) {
         self.bit_pos = self.bit_pos.div_ceil(8) * 8;
     }
-
-    /// Remaining readable bits.
-    pub fn remaining_bits(&self) -> usize {
-        self.bytes.len() * 8 - self.bit_pos
-    }
 }
 
 #[cfg(test)]

@@ -2,14 +2,6 @@
 //! workspace, following the CRC32C engine in [`crate::crc`] (detect once,
 //! branch at the entry point, keep the software path as the oracle).
 //!
-//! Historically this module lived in `owlp-arith::microkernel::dispatch`
-//! and governed only the GEMM microkernels. The encode/decode plane
-//! transforms of this crate vectorize behind the *same* dispatch — one
-//! `OWLP_SIMD` knob, one forced-scalar oracle — and `owlp-format` sits
-//! below `owlp-arith` in the dependency order, so the tier machinery
-//! moved here; `owlp-arith::microkernel::dispatch` re-exports it
-//! unchanged.
-//!
 //! The tier is chosen **once** per process from `is_x86_feature_detected!`
 //! plus the [`ENV_SIMD`] (`OWLP_SIMD=scalar|sse2|avx2|neon|auto`) override,
 //! and cached in a `OnceLock`. Tests and benches force a tier for a scope

@@ -87,21 +87,6 @@ impl MemorySystem {
     pub fn sram_read_energy_j(&self, bytes: u64) -> f64 {
         bytes as f64 * self.lib.sram_read_pj_per_byte * 1e-12
     }
-
-    /// SRAM write energy for `bytes`, joules.
-    pub fn sram_write_energy_j(&self, bytes: u64) -> f64 {
-        bytes as f64 * self.lib.sram_write_pj_per_byte * 1e-12
-    }
-
-    /// SRAM macro area, mm².
-    pub fn sram_area_mm2(&self) -> f64 {
-        self.sram_bytes as f64 / self.lib.sram_bytes_per_um2 / 1e6
-    }
-
-    /// Whether a working set fits in the on-chip buffer.
-    pub fn fits_on_chip(&self, bytes: u64) -> bool {
-        bytes <= self.sram_bytes
-    }
 }
 
 impl Default for MemorySystem {
@@ -171,15 +156,6 @@ impl OutlierBuffer {
     pub fn overflow_bytes(&self, tile_outliers: usize) -> u64 {
         self.overflow_entries(tile_outliers) as u64 * self.burst_bytes
     }
-
-    /// Largest per-element outlier rate a tile of `tile_elements` values
-    /// can sustain without overflow.
-    pub fn max_outlier_rate(&self, tile_elements: usize) -> f64 {
-        if tile_elements == 0 {
-            return 1.0;
-        }
-        (self.entries as f64 / tile_elements as f64).min(1.0)
-    }
 }
 
 #[cfg(test)]
@@ -207,14 +183,6 @@ mod tests {
     }
 
     #[test]
-    fn sram_area_is_plausible_for_12mb_at_28nm() {
-        let m = MemorySystem::paper();
-        let a = m.sram_area_mm2();
-        // 12 MB ≈ 40–60 mm² at 28 nm.
-        assert!((30.0..80.0).contains(&a), "{a}");
-    }
-
-    #[test]
     fn outlier_buffer_rarely_overflows_at_paper_rates() {
         // A Llama2-7B weight-stationary tile set: one layer's largest
         // matrix tile resident per array, ~1.5 % outliers. The 64 KiB
@@ -223,7 +191,6 @@ mod tests {
         let tile_elements = 48 * 32 * 32 * 8; // all arrays' stationary tiles
         let outliers = (tile_elements as f64 * 0.015) as usize;
         assert_eq!(buf.overflow_entries(outliers), 0);
-        assert!(buf.max_outlier_rate(tile_elements) > 0.10);
     }
 
     #[test]
@@ -236,15 +203,6 @@ mod tests {
         assert_eq!(buf.overflow_entries(100), 0);
         assert_eq!(buf.overflow_entries(150), 50);
         assert_eq!(buf.overflow_bytes(150), 50 * 32);
-        assert_eq!(buf.max_outlier_rate(0), 1.0);
-        assert_eq!(buf.max_outlier_rate(1000), 0.1);
-    }
-
-    #[test]
-    fn working_set_check() {
-        let m = MemorySystem::paper();
-        assert!(m.fits_on_chip(8 * 1024 * 1024));
-        assert!(!m.fits_on_chip(16 * 1024 * 1024));
     }
 
     #[test]

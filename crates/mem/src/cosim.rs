@@ -30,26 +30,11 @@ use owlp_hw::MemorySystem;
 use owlp_systolic::event_sim::EventSimResult;
 use serde::{Deserialize, Serialize};
 
-/// Which serving phase a GEMM stream belongs to (mirrors
-/// `owlp_model::Phase`; redeclared here so `owlp-mem` stays below
-/// `owlp-model` in the crate DAG).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum PhaseClass {
-    /// Single-pass inference (no prefill/decode distinction).
-    Single,
-    /// Prompt processing.
-    Prefill,
-    /// Auto-regressive generation.
-    Decode,
-}
-
 /// One uniform GEMM phase: `groups` identical fold groups.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PhaseSpec {
     /// Human-readable op label (e.g. `"decode/ffn_up"`).
     pub label: String,
-    /// Serving phase this stream belongs to.
-    pub class: PhaseClass,
     /// Fold groups in the stream.
     pub groups: u64,
     /// Compute cycles of one group (all arrays run it in lockstep).
@@ -70,8 +55,6 @@ pub struct PhaseSpec {
 pub struct PhaseResult {
     /// Label copied from the spec.
     pub label: String,
-    /// Serving phase class copied from the spec.
-    pub class: PhaseClass,
     /// Fold groups simulated.
     pub groups: u64,
     /// Pure compute time: Σ per-group compute cycles.
@@ -104,14 +87,6 @@ impl PhaseResult {
     /// exactly one channel.
     pub fn conserves_bytes(&self) -> bool {
         self.channel_bytes.iter().sum::<u64>() == self.fetched_bytes
-    }
-
-    /// Achieved off-chip bandwidth over the makespan, bytes per cycle.
-    pub fn achieved_bytes_per_cycle(&self) -> f64 {
-        if self.makespan <= 0.0 {
-            return 0.0;
-        }
-        self.fetched_bytes as f64 / self.makespan
     }
 
     /// Overlap efficiency: `max(compute, memory) / makespan` (1.0 means
@@ -235,9 +210,10 @@ impl CosimEngine {
     /// Couples the engine to an event-simulation run: each simulated fold
     /// becomes one compute group racing its tile fetch. The spec's
     /// `groups`/`compute_cycles_per_group` are ignored in favour of the
-    /// measured [`EventSimResult::fold_cycles`] trace.
+    /// measured per-fold cycles of [`EventSimResult::folds`].
     pub fn couple_event_sim(&self, spec: &PhaseSpec, sim: &EventSimResult) -> PhaseResult {
-        self.run_groups(spec, &sim.fold_cycles)
+        let fold_cycles: Vec<u64> = sim.folds.iter().map(|f| f.cycles).collect();
+        self.run_groups(spec, &fold_cycles)
     }
 
     /// The prefetch recurrence over an explicit compute trace.
@@ -290,7 +266,6 @@ impl CosimEngine {
         let bound = compute_cycles.max(memory_cycles);
         PhaseResult {
             label: spec.label.clone(),
-            class: spec.class,
             groups,
             compute_cycles,
             memory_cycles,
@@ -309,7 +284,6 @@ impl CosimEngine {
     fn empty_result(&self, spec: &PhaseSpec, plan: &TilePlan) -> PhaseResult {
         PhaseResult {
             label: spec.label.clone(),
-            class: spec.class,
             groups: 0,
             compute_cycles: 0.0,
             memory_cycles: 0.0,
@@ -343,7 +317,6 @@ mod tests {
     fn spec(groups: u64, compute: u64, bytes: u64) -> PhaseSpec {
         PhaseSpec {
             label: "test".into(),
-            class: PhaseClass::Single,
             groups,
             compute_cycles_per_group: compute,
             tile_bytes_per_group: bytes,
@@ -487,7 +460,7 @@ mod tests {
         let e = engine();
         let s = spec(0, 0, 512);
         let coupled = e.couple_event_sim(&s, &sim);
-        assert_eq!(coupled.groups, sim.fold_cycles.len() as u64);
+        assert_eq!(coupled.groups, sim.folds.len() as u64);
         assert_eq!(coupled.compute_cycles, sim.cycles as f64);
         // Compute-bound here, so the coupled makespan is exactly
         // max(compute, memory) + head fetch.

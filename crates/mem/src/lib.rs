@@ -10,9 +10,11 @@
 //!   including the §IV-D outlier-buffer overflow spill;
 //! * [`cosim`] — the prefetch recurrence coupling tile fetches to fold
 //!   compute, yielding per-phase `max(compute, memory)` makespans with
-//!   the non-overlapped prologue exposed;
-//! * [`roofline`] — per-op roofline points and per-phase-class
-//!   (prefill/decode) aggregates with memory-bound verdicts.
+//!   the non-overlapped prologue exposed.
+//!
+//! The per-phase roofline aggregation of these results lives with the
+//! closed-form roofline in `owlp_core::roofline`, next to the workload
+//! phase tags it groups by.
 //!
 //! The whole engine is serial f64 arithmetic over integer cycle counts —
 //! bit-identical across runs and `OWLP_THREADS` settings by construction,
@@ -21,12 +23,11 @@
 //!
 //! ```
 //! use owlp_hw::MemorySystem;
-//! use owlp_mem::{CosimEngine, PhaseClass, PhaseSpec};
+//! use owlp_mem::{CosimEngine, PhaseSpec};
 //!
 //! let engine = CosimEngine::new(MemorySystem::paper(), 500.0e6);
 //! let phase = engine.run_phase(&PhaseSpec {
 //!     label: "decode/ffn_up".into(),
-//!     class: PhaseClass::Decode,
 //!     groups: 256,
 //!     compute_cycles_per_group: 8,
 //!     tile_bytes_per_group: 64 * 1024,
@@ -42,10 +43,8 @@
 
 pub mod cosim;
 pub mod offchip;
-pub mod roofline;
 pub mod tiles;
 
-pub use cosim::{CosimEngine, PhaseClass, PhaseResult, PhaseSpec};
+pub use cosim::{CosimEngine, PhaseResult, PhaseSpec};
 pub use offchip::ChannelSim;
-pub use roofline::{PhaseAggregate, RooflinePoint, RooflineReport};
 pub use tiles::TilePlan;

@@ -94,11 +94,6 @@ impl ChannelSim {
     pub fn total_bytes(&self) -> u64 {
         self.channel_bytes.iter().sum()
     }
-
-    /// Time at which the last busy channel goes idle.
-    pub fn finish_time(&self) -> f64 {
-        self.busy_until.iter().copied().fold(0.0, f64::max)
-    }
 }
 
 /// Per-request channel-byte footprint: how many payload bytes of one
@@ -175,7 +170,6 @@ mod tests {
         let mut sim = paper_sim();
         assert_eq!(sim.request(5.0, 0), 5.0);
         assert_eq!(sim.total_bytes(), 0);
-        assert_eq!(sim.finish_time(), 0.0);
     }
 
     #[test]

@@ -5,13 +5,12 @@
 
 use owlp_hw::MemorySystem;
 use owlp_mem::offchip::request_footprint;
-use owlp_mem::{ChannelSim, CosimEngine, PhaseClass, PhaseSpec};
+use owlp_mem::{ChannelSim, CosimEngine, PhaseSpec};
 use proptest::prelude::*;
 
 fn spec(groups: u64, compute: u64, bytes: u64, outliers: usize, resident: u64) -> PhaseSpec {
     PhaseSpec {
         label: "prop".into(),
-        class: PhaseClass::Single,
         groups,
         compute_cycles_per_group: compute,
         tile_bytes_per_group: bytes,

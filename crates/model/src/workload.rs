@@ -15,7 +15,7 @@
 //! models see representative shapes without enumerating thousands of steps.
 
 use crate::config::{Arch, ModelId};
-use crate::layers::{GemmOp, OpClass, OpKind, Phase};
+use crate::layers::{GemmOp, OpKind, Phase};
 use serde::{Deserialize, Serialize};
 
 /// A named stream of GEMMs plus its provenance.
@@ -40,42 +40,6 @@ impl Workload {
     /// Total FLOPs (2 × MACs).
     pub fn total_flops(&self) -> u64 {
         self.ops.iter().map(GemmOp::flops).sum()
-    }
-
-    /// MACs restricted to one reporting class.
-    pub fn macs_of_class(&self, class: OpClass) -> u64 {
-        self.ops
-            .iter()
-            .filter(|o| o.class() == class)
-            .map(GemmOp::macs)
-            .sum()
-    }
-
-    /// The sub-workload of ops tagged with `phase`, preserving op order.
-    /// The name gains a `" [<phase>]"` suffix; batch and model carry over.
-    pub fn phase_subset(&self, phase: Phase) -> Workload {
-        Workload {
-            name: format!("{} [{phase:?}]", self.name),
-            model: self.model,
-            batch: self.batch,
-            ops: self
-                .ops
-                .iter()
-                .filter(|o| o.phase == phase)
-                .cloned()
-                .collect(),
-        }
-    }
-
-    /// Splits the stream into its non-empty phases, in
-    /// Single → Prefill → Decode order — the traffic-builder entry point
-    /// for phase-resolved memory co-simulation.
-    pub fn split_phases(&self) -> Vec<(Phase, Workload)> {
-        [Phase::Single, Phase::Prefill, Phase::Decode]
-            .into_iter()
-            .map(|p| (p, self.phase_subset(p)))
-            .filter(|(_, w)| !w.ops.is_empty())
-            .collect()
     }
 
     /// Static-weight elements of the model touched by this workload,
@@ -372,6 +336,7 @@ pub fn kv_length_buckets(prompt_len: usize, gen_len: usize) -> Vec<(usize, u64)>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layers::OpClass;
 
     #[test]
     fn encoder_flop_count_matches_formula() {
@@ -431,8 +396,15 @@ mod tests {
     fn attention_macs_grow_with_generation_length() {
         let short = generation_workload(ModelId::Gpt2Base, 32, 128, 256);
         let long = generation_workload(ModelId::Gpt2Base, 32, 128, 1024);
-        let a_short = short.macs_of_class(OpClass::Attention);
-        let a_long = long.macs_of_class(OpClass::Attention);
+        let attention_macs = |w: &Workload| -> u64 {
+            w.ops
+                .iter()
+                .filter(|o| o.class() == OpClass::Attention)
+                .map(GemmOp::macs)
+                .sum()
+        };
+        let a_short = attention_macs(&short);
+        let a_long = attention_macs(&long);
         assert!(a_long > 3 * a_short, "{a_long} vs {a_short}");
     }
 
@@ -446,13 +418,6 @@ mod tests {
     #[should_panic(expected = "requires a decoder model")]
     fn generation_builder_rejects_encoders() {
         let _ = generation_workload(ModelId::BertBase, 32, 128, 256);
-    }
-
-    #[test]
-    fn class_breakdown_sums_to_total() {
-        let w = generation_workload(ModelId::Llama2_7b, 32, 128, 256);
-        let sum: u64 = OpClass::ALL.iter().map(|&c| w.macs_of_class(c)).sum();
-        assert_eq!(sum, w.total_macs());
     }
 
     #[test]
@@ -537,28 +502,6 @@ mod tests {
         }
         let w0 = generation_workload(ModelId::Gpt2Base, 4, 0, 16);
         assert!(w0.ops.iter().all(|o| o.phase == Phase::Decode));
-    }
-
-    #[test]
-    fn split_phases_partitions_the_stream() {
-        let w = generation_workload(ModelId::Llama2_7b, 32, 128, 64);
-        let phases = w.split_phases();
-        assert_eq!(phases.len(), 2);
-        assert_eq!(phases[0].0, Phase::Prefill);
-        assert_eq!(phases[1].0, Phase::Decode);
-        let total: usize = phases.iter().map(|(_, p)| p.ops.len()).sum();
-        assert_eq!(total, w.ops.len());
-        let macs: u64 = phases.iter().map(|(_, p)| p.total_macs()).sum();
-        assert_eq!(macs, w.total_macs());
-        for (phase, sub) in &phases {
-            assert!(sub.ops.iter().all(|o| o.phase == *phase));
-            assert_eq!(sub.batch, w.batch);
-        }
-        // Encoder workloads collapse to one Single phase.
-        let e = encoder_workload(ModelId::BertBase, 128, 1);
-        let ep = e.split_phases();
-        assert_eq!(ep.len(), 1);
-        assert_eq!(ep[0].0, Phase::Single);
     }
 
     #[test]

@@ -27,7 +27,7 @@ pub struct CostModel {
     acc: Accelerator,
     model: ModelId,
     dataset: Dataset,
-    prefill: Mutex<HashMap<(usize, usize), f64>>,
+    prefill: Mutex<HashMap<usize, f64>>,
     projection: Mutex<HashMap<usize, f64>>,
     attention: Mutex<HashMap<usize, f64>>,
 }
@@ -63,13 +63,13 @@ impl CostModel {
         if prompt_len <= 1 {
             return 0.0;
         }
-        let key = (1usize, bucket(prompt_len));
-        if let Some(&s) = self.prefill.lock().get(&key) {
+        let len = bucket(prompt_len);
+        if let Some(&s) = self.prefill.lock().get(&len) {
             return s;
         }
-        let wl = workload::prefill_workload(self.model, 1, key.1);
+        let wl = workload::prefill_workload(self.model, 1, len);
         let s = self.acc.simulate(&wl, self.dataset).seconds;
-        self.prefill.lock().insert(key, s);
+        self.prefill.lock().insert(len, s);
         s
     }
 

@@ -30,27 +30,51 @@ fn stream_is_clean(ops: &[DecodedOperand]) -> bool {
     ops.iter().all(|o| !o.tag)
 }
 
-/// A physical stream ready to meet a wavefront: logical index, decoded
-/// operands, the pre-folded signed sval plane ([`DecodedOperand::sval`],
-/// consumed by the clean-pair microkernel), and the cleanliness flag.
+/// A physical stream ready to meet a wavefront: logical index, whether
+/// the scheduler inserted it (split index > 0), decoded operands, the
+/// pre-folded signed sval plane ([`DecodedOperand::sval`], consumed by the
+/// clean-pair microkernel), and the cleanliness flag.
 struct Stream {
     idx: usize,
+    inserted: bool,
     ops: Vec<DecodedOperand>,
     sval: Vec<i16>,
     clean: bool,
 }
 
 impl Stream {
-    fn new(idx: usize, ops: Vec<DecodedOperand>) -> Self {
+    fn new(idx: usize, split: usize, ops: Vec<DecodedOperand>) -> Self {
         let sval = ops.iter().map(|o| o.sval()).collect();
         let clean = stream_is_clean(&ops);
         Stream {
             idx,
+            inserted: split > 0,
             ops,
             sval,
             clean,
         }
     }
+}
+
+/// One streamed physical activation row of a fold.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub struct RowRecord {
+    /// The scheduler inserted this row: it is split index > 0 of its
+    /// logical row, carrying outliers the first split had no path for.
+    pub inserted: bool,
+    /// The row's worst outlier-wavefront occupancy across the fold's
+    /// columns.
+    pub occupancy: usize,
+}
+
+/// One fold of up to C physical weight columns, in issue order.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct FoldRecord {
+    /// Cycles of the fold: R fill, one per streamed row, R + C − 2 drain
+    /// (`2R + C + rows − 2`).
+    pub cycles: u64,
+    /// The streamed physical rows of the fold's K-tile, in stream order.
+    pub rows: Vec<RowRecord>,
 }
 
 /// Outcome of an event-driven simulation run.
@@ -60,7 +84,8 @@ pub struct EventSimResult {
     pub cycles: u64,
     /// Row-major `m×n` FP32 outputs.
     pub outputs: Vec<f32>,
-    /// Largest outlier-wavefront occupancy observed at any column bottom.
+    /// Largest outlier-wavefront occupancy observed at any column bottom
+    /// (the maximum row occupancy over [`EventSimResult::folds`]).
     pub max_wavefront_occupancy: usize,
     /// Whether every wavefront stayed within the outlier-path capacity.
     pub conflict_free: bool,
@@ -70,10 +95,11 @@ pub struct EventSimResult {
     /// Effective physical weight columns (across K-tiles), for `r_w`
     /// cross-checks.
     pub physical_columns: u64,
-    /// Cycles of each fold in issue order (`Σ fold_cycles == cycles`).
-    /// This is the phase-coupling hook for the `owlp-mem` co-simulator:
-    /// each fold is one compute group whose makespan races its tile fetch.
-    pub fold_cycles: Vec<u64>,
+    /// Every fold in issue order (`Σ cycles == cycles`). The per-fold
+    /// cycles are the phase-coupling hook for the `owlp-mem` co-simulator
+    /// (each fold is one compute group whose makespan races its tile
+    /// fetch); the per-row records drive the VCD waveform.
+    pub folds: Vec<FoldRecord>,
 }
 
 /// Simulates the OwL-P array on a GEMM, **with** outlier-aware scheduling.
@@ -144,7 +170,7 @@ fn run(
             conflict_free: true,
             streamed_rows: 0,
             physical_columns: 0,
-            fold_cycles: Vec::new(),
+            folds: Vec::new(),
         });
     }
     let enc_a = encode_tensor(a, None)?;
@@ -168,10 +194,9 @@ fn run(
 
     let mut accs: Vec<KulischAcc> = vec![KulischAcc::new(); m * n];
     let mut cycles = 0u64;
-    let mut max_occ = 0usize;
     let mut streamed_rows = 0u64;
     let mut physical_columns = 0u64;
-    let mut fold_cycles = Vec::new();
+    let mut folds = Vec::new();
 
     // The bounded window of one K-tile's all-normal wavefronts (shared by
     // every clean activation-row × weight-column pair).
@@ -227,11 +252,11 @@ fn run(
         for j in 0..n {
             let col: Vec<DecodedOperand> = (lo..hi).map(|kk| ops_b[kk * n + j]).collect();
             if scheduled {
-                for sub in sched.split_weight_column(&col) {
-                    wcols.push(Stream::new(j, sub));
+                for (s, sub) in sched.split_weight_column(&col).into_iter().enumerate() {
+                    wcols.push(Stream::new(j, s, sub));
                 }
             } else {
-                wcols.push(Stream::new(j, col));
+                wcols.push(Stream::new(j, 0, col));
             }
         }
         physical_columns += wcols.len() as u64;
@@ -241,11 +266,11 @@ fn run(
         for i in 0..m {
             let row: Vec<DecodedOperand> = ops_a[i * k + lo..i * k + hi].to_vec();
             if scheduled {
-                for sub in sched.split_activation_row(&row) {
-                    arows.push(Stream::new(i, sub));
+                for (s, sub) in sched.split_activation_row(&row).into_iter().enumerate() {
+                    arows.push(Stream::new(i, s, sub));
                 }
             } else {
-                arows.push(Stream::new(i, row));
+                arows.push(Stream::new(i, 0, row));
             }
         }
 
@@ -260,31 +285,50 @@ fn run(
         for fold in wcols.chunks(cfg.cols) {
             let fold_len = (2 * cfg.rows + cfg.cols) as u64 + arows.len() as u64 - 2;
             cycles += fold_len;
-            fold_cycles.push(fold_len);
             streamed_rows += arows.len() as u64;
             let column_pass = |wcol: &Stream| {
                 let mut partials = vec![KulischAcc::new(); arows.len()];
-                let mut col_max = 0usize;
-                for (arow, acc) in arows.iter().zip(&mut partials) {
-                    col_max = col_max.max(wavefront(arow, wcol, acc));
-                }
-                (wcol.idx, partials, col_max)
+                let occupancy: Vec<usize> = arows
+                    .iter()
+                    .zip(&mut partials)
+                    .map(|(arow, acc)| wavefront(arow, wcol, acc))
+                    .collect();
+                (wcol.idx, partials, occupancy)
             };
             // Dispatch weighted by the fold's actual arithmetic volume so
             // small folds stay serial rather than paying thread hand-off
             // for a handful of products.
             let shards =
                 owlp_par::map_indexed_weighted(fold.len(), 1, col_ops, |c| column_pass(&fold[c]));
-            for (j, partials, col_max) in shards {
-                max_occ = max_occ.max(col_max);
+            let mut rows: Vec<RowRecord> = arows
+                .iter()
+                .map(|arow| RowRecord {
+                    inserted: arow.inserted,
+                    occupancy: 0,
+                })
+                .collect();
+            for (j, partials, occupancy) in shards {
+                for (row, occ) in rows.iter_mut().zip(occupancy) {
+                    row.occupancy = row.occupancy.max(occ);
+                }
                 for (arow, partial) in arows.iter().zip(&partials) {
                     accs[arow.idx * n + j].merge(partial);
                 }
             }
+            folds.push(FoldRecord {
+                cycles: fold_len,
+                rows,
+            });
         }
     }
 
     let outputs = accs.iter().map(|acc| acc.round_to_f32()).collect();
+    let max_occ = folds
+        .iter()
+        .flat_map(|f| &f.rows)
+        .map(|r| r.occupancy)
+        .max()
+        .unwrap_or(0);
     Ok(EventSimResult {
         cycles,
         outputs,
@@ -292,7 +336,7 @@ fn run(
         conflict_free: capacity == 0 || max_occ <= capacity,
         streamed_rows,
         physical_columns,
-        fold_cycles,
+        folds,
     })
 }
 
@@ -453,8 +497,29 @@ mod tests {
         let a = synth(m * k, 21, 6);
         let b = synth(k * n, 22, 8);
         let owlp = simulate_gemm(&cfg, &a, &b, m, k, n).unwrap();
-        assert_eq!(owlp.fold_cycles.iter().sum::<u64>(), owlp.cycles);
-        assert!(!owlp.fold_cycles.is_empty());
+        assert_eq!(
+            owlp.folds.iter().map(|f| f.cycles).sum::<u64>(),
+            owlp.cycles
+        );
+        assert!(!owlp.folds.is_empty());
+
+        // Dense activation outliers force scheduler-inserted rows: every
+        // fold still costs `2R + C + rows − 2`, the recorded rows add up to
+        // the streamed rows, and the run's worst wavefront is the worst
+        // recorded row.
+        let a = synth(m * k, 23, 3);
+        let r = simulate_gemm(&cfg, &a, &b, m, k, n).unwrap();
+        let rows = r.folds.iter().flat_map(|f| &f.rows);
+        assert!(rows.clone().any(|row| row.inserted));
+        for f in &r.folds {
+            let expect = (2 * cfg.rows + cfg.cols + f.rows.len()) as u64 - 2;
+            assert_eq!(f.cycles, expect);
+        }
+        let recorded: usize = r.folds.iter().map(|f| f.rows.len()).sum();
+        assert_eq!(recorded as u64, r.streamed_rows);
+        let worst = rows.map(|row| row.occupancy).max().unwrap();
+        assert_eq!(r.max_wavefront_occupancy, worst);
+        assert!(worst > 0);
     }
 
     #[test]

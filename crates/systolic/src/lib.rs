@@ -11,12 +11,14 @@
 //!   outlier pressure per input row / weight column and inserts zeros to
 //!   regulate the number of simultaneous outlier results per column
 //!   wavefront; computes `T_a`, `T_w` and therefore `r_a`, `r_w`.
-//! * [`trace`] — VCD waveform dumps of simulated GEMMs (fold activity,
-//!   streamed rows, zero insertions, outlier wavefront occupancy);
 //! * [`event_sim`] — an independent cycle-accurate event-driven simulation
 //!   of a (small) array that tracks outlier-path occupancy per PE per cycle,
 //!   verifies the scheduler's no-conflict guarantee, reproduces the GEMM
-//!   results bit-exactly and cross-validates the closed-form cycle counts.
+//!   results bit-exactly and cross-validates the closed-form cycle counts;
+//!   it records every fold's cycles and streamed rows.
+//! * [`trace`] — VCD waveform dumps of simulated GEMMs (fold activity,
+//!   streamed rows, zero insertions, outlier wavefront occupancy), rendered
+//!   from the event simulator's fold records.
 //!
 //! ```
 //! use owlp_systolic::{ArrayConfig, cycle_model};

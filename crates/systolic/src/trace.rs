@@ -4,13 +4,14 @@
 //! row index, outlier-wavefront occupancy, busy flags — as an IEEE-1364
 //! VCD file viewable in GTKWave & friends. Useful for eyeballing the
 //! skew/fill/drain behaviour and for seeing the zero-inserted rows the
-//! outlier scheduler adds.
+//! outlier scheduler adds. The waveform is drawn from the event
+//! simulator's per-fold record ([`event_sim::FoldRecord`]), so it shows
+//! exactly the schedule the simulator ran.
 
 use crate::config::ArrayConfig;
-use crate::schedule::OutlierSchedule;
-use owlp_arith::pe::{PeConfig, ProcessingElement};
+use crate::event_sim;
 use owlp_arith::ArithError;
-use owlp_format::{encode_tensor, Bf16};
+use owlp_format::Bf16;
 use std::fmt::Write as _;
 
 /// One traced signal.
@@ -83,12 +84,15 @@ impl VcdTrace {
     }
 }
 
-/// Simulates a (small) GEMM on the OwL-P array while recording a waveform:
-/// `busy`, `fold` (current fold index), `row` (streamed physical row),
-/// `zero_inserted` (the row is a scheduler-inserted split), and
-/// `wavefront_outliers`.
+/// Simulates a (small) GEMM on the OwL-P array with
+/// [`event_sim::simulate_gemm`] and renders its per-fold record as a
+/// waveform: `busy`, `fold` (current fold index), `row` (streamed physical
+/// row), `zero_inserted` (the row is a scheduler-inserted split), and
+/// `wavefront_outliers` (the row's worst occupancy across the fold's
+/// columns). Each fold shows R fill ticks, one tick per streamed row and
+/// R + C − 2 drain ticks; a final idle tick closes the trace.
 ///
-/// Returns the VCD text and the total simulated cycles.
+/// Returns the VCD text and the total traced cycles.
 ///
 /// # Errors
 ///
@@ -102,20 +106,7 @@ pub fn trace_gemm(
     k: usize,
     n: usize,
 ) -> Result<(String, u64), ArithError> {
-    if a.len() != m * k {
-        return Err(ArithError::DimensionMismatch {
-            what: "A",
-            expected: m * k,
-            actual: a.len(),
-        });
-    }
-    if b.len() != k * n {
-        return Err(ArithError::DimensionMismatch {
-            what: "B",
-            expected: k * n,
-            actual: b.len(),
-        });
-    }
+    let sim = event_sim::simulate_gemm(cfg, a, b, m, k, n)?;
     let mut vcd = VcdTrace::new(&[
         ("busy", 1),
         ("fold", 16),
@@ -123,84 +114,28 @@ pub fn trace_gemm(
         ("zero_inserted", 1),
         ("wavefront_outliers", 8),
     ]);
-    if m == 0 || k == 0 || n == 0 {
+    if sim.folds.is_empty() {
         return Ok((vcd.render(), 0));
     }
-    let enc_a = encode_tensor(a, None)?;
-    let enc_b = encode_tensor(b, None)?;
-    let ops_a = enc_a.decode_operands();
-    let ops_b = enc_b.decode_operands();
-    let k_tile = cfg.k_tile();
-    let sched = OutlierSchedule::new(
-        k_tile,
-        cfg.act_outlier_paths.max(1),
-        cfg.weight_outlier_paths.max(1),
-    );
-    let pe = ProcessingElement::new(PeConfig {
-        lanes: cfg.lanes,
-        act_outlier_paths: cfg.act_outlier_paths,
-        weight_outlier_paths: cfg.weight_outlier_paths,
-    });
     let mut cycle = 0u64;
-    let mut fold_idx = 0u64;
-    let tiles = k.div_ceil(k_tile);
-    for t in 0..tiles {
-        let lo = t * k_tile;
-        let hi = (lo + k_tile).min(k);
-        let mut wcols: Vec<Vec<_>> = Vec::new();
-        for j in 0..n {
-            let col: Vec<_> = (lo..hi).map(|kk| ops_b[kk * n + j]).collect();
-            wcols.extend(sched.split_weight_column(&col));
+    for (f, fold) in sim.folds.iter().enumerate() {
+        let f = f as u64;
+        for _ in 0..cfg.rows {
+            cycle += 1;
+            vcd.tick(cycle, &[1, f, 0, 0, 0]);
         }
-        // Expanded activation rows with an inserted-zero marker.
-        let mut arows: Vec<(bool, Vec<_>)> = Vec::new();
-        for i in 0..m {
-            let row: Vec<_> = ops_a[i * k + lo..i * k + hi].to_vec();
-            for (s, sub) in sched.split_activation_row(&row).into_iter().enumerate() {
-                arows.push((s > 0, sub));
-            }
+        for (r, row) in fold.rows.iter().enumerate() {
+            cycle += 1;
+            let values = [1, f, r as u64, row.inserted as u64, row.occupancy as u64];
+            vcd.tick(cycle, &values);
         }
-        for fold in wcols.chunks(cfg.cols) {
-            // Fill.
-            for _ in 0..cfg.rows {
-                cycle += 1;
-                vcd.tick(cycle, &[1, fold_idx, 0, 0, 0]);
-            }
-            // Stream rows; record the worst wavefront across the fold's
-            // columns for this row.
-            for (r, (inserted, arow)) in arows.iter().enumerate() {
-                cycle += 1;
-                let mut worst = 0u64;
-                for wcol in fold {
-                    let mut occupancy = 0u64;
-                    for pr in 0..cfg.rows {
-                        let a_lo = pr * cfg.lanes;
-                        if a_lo >= arow.len() {
-                            break;
-                        }
-                        let a_hi = (a_lo + cfg.lanes).min(arow.len());
-                        let out = pe.dot_unchecked(
-                            &arow[a_lo..a_hi],
-                            &wcol[a_lo..a_hi],
-                            enc_a.shared_exp(),
-                            enc_b.shared_exp(),
-                        );
-                        occupancy += out.outliers.len() as u64;
-                    }
-                    worst = worst.max(occupancy);
-                }
-                vcd.tick(cycle, &[1, fold_idx, r as u64, *inserted as u64, worst]);
-            }
-            // Drain.
-            for _ in 0..(cfg.rows + cfg.cols - 2) {
-                cycle += 1;
-                vcd.tick(cycle, &[1, fold_idx, 0, 0, 0]);
-            }
-            fold_idx += 1;
+        for _ in 0..(cfg.rows + cfg.cols - 2) {
+            cycle += 1;
+            vcd.tick(cycle, &[1, f, 0, 0, 0]);
         }
     }
     cycle += 1;
-    vcd.tick(cycle, &[0, fold_idx, 0, 0, 0]);
+    vcd.tick(cycle, &[0, sim.folds.len() as u64, 0, 0, 0]);
     Ok((vcd.render(), cycle))
 }
 

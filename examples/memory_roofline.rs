@@ -12,8 +12,7 @@
 //! grows linearly with the batch until the 256 GB/s roof stops mattering.
 
 use owlp_core::{cosim, Accelerator};
-use owlp_mem::PhaseClass;
-use owlp_model::{workload, Dataset, ModelId};
+use owlp_model::{workload, Dataset, ModelId, Phase};
 
 fn main() {
     let designs = [
@@ -30,9 +29,7 @@ fn main() {
         for batch in [1usize, 8, 32, 128] {
             let wl = workload::generation_workload(ModelId::Llama2_7b, batch, 128, 16);
             let report = cosim::cosim_workload(acc, &wl, Dataset::WikiText2);
-            let dec = report
-                .class_aggregate(PhaseClass::Decode)
-                .expect("decode ops");
+            let dec = report.class_aggregate(Phase::Decode).expect("decode ops");
             let seconds = dec.makespan / report.clock_hz;
             println!(
                 "{:<10} {:>6} {:>12.1} {:>10.1} {:>9.0} {:>9.3}  {}",

@@ -4,8 +4,8 @@
 //! the determinism contract across thread counts.
 
 use owlp_repro::core::{cosim, Accelerator};
-use owlp_repro::mem::{CosimEngine, PhaseClass, PhaseSpec};
-use owlp_repro::model::{workload, Dataset, ModelId};
+use owlp_repro::mem::{CosimEngine, PhaseSpec};
+use owlp_repro::model::{workload, Dataset, ModelId, Phase};
 use owlp_repro::par::with_threads;
 use owlp_repro::systolic::{event_sim, ArrayConfig};
 
@@ -22,12 +22,8 @@ fn paper_workload() -> owlp_repro::model::Workload {
 fn decode_is_memory_bound_and_prefill_compute_bound_at_paper_defaults() {
     let wl = paper_workload();
     let owlp = cosim::cosim_workload(&Accelerator::owlp(), &wl, Dataset::WikiText2);
-    let dec = owlp
-        .class_aggregate(PhaseClass::Decode)
-        .expect("decode ops");
-    let pre = owlp
-        .class_aggregate(PhaseClass::Prefill)
-        .expect("prefill ops");
+    let dec = owlp.class_aggregate(Phase::Decode).expect("decode ops");
+    let pre = owlp.class_aggregate(Phase::Prefill).expect("prefill ops");
     assert!(dec.memory_bound, "decode must be bandwidth-bound");
     assert!(!pre.memory_bound, "prefill must be compute-bound");
     assert!(dec.achieved_gbps > 0.5 * owlp.peak_gbps);
@@ -35,9 +31,7 @@ fn decode_is_memory_bound_and_prefill_compute_bound_at_paper_defaults() {
     assert!(owlp.bytes_conserved());
 
     let base = cosim::cosim_workload(&Accelerator::baseline(), &wl, Dataset::WikiText2);
-    let bpre = base
-        .class_aggregate(PhaseClass::Prefill)
-        .expect("prefill ops");
+    let bpre = base.class_aggregate(Phase::Prefill).expect("prefill ops");
     assert!(!bpre.memory_bound, "baseline prefill must be compute-bound");
     assert!(base.bytes_conserved());
 }
@@ -63,18 +57,17 @@ fn coupled_event_sim_makespan_decomposes_as_max_plus_prologue() {
     };
     let (a, b) = (data(m * k, 1), data(k * n, 2));
     let sim = event_sim::simulate_gemm(&cfg, &a, &b, m, k, n).expect("finite inputs");
-    assert!(!sim.fold_cycles.is_empty());
-    assert_eq!(sim.fold_cycles.iter().sum::<u64>(), sim.cycles);
+    assert!(!sim.folds.is_empty());
+    assert_eq!(sim.folds.iter().map(|f| f.cycles).sum::<u64>(), sim.cycles);
 
     let acc = Accelerator::owlp();
     let engine = cosim::engine_for(&acc);
     let weight_bytes = (k * n * 2) as u64; // BF16 weights, uncompressed
     let spec = PhaseSpec {
         label: "event-sim gemm".into(),
-        class: PhaseClass::Single,
-        groups: sim.fold_cycles.len() as u64,
+        groups: sim.folds.len() as u64,
         compute_cycles_per_group: 0, // ignored: explicit trace supplied
-        tile_bytes_per_group: weight_bytes.div_ceil(sim.fold_cycles.len() as u64),
+        tile_bytes_per_group: weight_bytes.div_ceil(sim.folds.len() as u64),
         outliers_per_group: 0,
         resident_bytes: 0,
         macs: (m * k * n) as u64,
@@ -116,7 +109,6 @@ fn makespan_is_monotone_in_channels_and_buffering() {
     let engine = CosimEngine::new(mem, 500e6);
     let spec = PhaseSpec {
         label: "sweep".into(),
-        class: PhaseClass::Decode,
         groups: 4096,
         compute_cycles_per_group: 200,
         tile_bytes_per_group: 1 << 16,
