@@ -9,10 +9,11 @@ use crate::align::AlignUnit;
 use crate::column::PeColumn;
 use crate::error::ArithError;
 use crate::lanes::{CallPlan, TileScratch};
-use crate::microkernel::{self, MR, MR8, NR};
+use crate::microkernel::{self, KernelTier, MR, NR};
 use crate::pe::PeConfig;
 use crate::window::WindowAcc;
 use owlp_format::decode::DecodedOperand;
+use owlp_format::packed::sval_bound;
 use owlp_format::{
     encode_tensor, encode_tensor_into, Bf16, EncodedTensor, MappedTensor, PackedOperands,
     PackedPanels,
@@ -293,17 +294,24 @@ pub fn owlp_gemm_with(
 /// The full datapath drive loop, with optionally memoised weight panels.
 ///
 /// Under [`AlignUnit::Exact`] the m×n sweep runs in R×NR register tiles
-/// of exactly the rows left: [`MR8`]-row tiles on AVX2, then [`MR`]-row
-/// tiles, then one tile of the last `m % MR` rows, so no zero row is
-/// multiplied (an `m = 1` decode step runs 1-row tiles). The
-/// [`crate::microkernel`] computes each tile as an `i16×i16→i32`
-/// outer-product dot over the activation sval rows and one
-/// [`PackedPanels`] panel, partial-summing `i64` lanes that spill into a
-/// per-element [`WindowAcc`] on the shared-exponent frame (no overflow by
-/// the K_SPILL bound — see the microkernel docs). Outliers stay out of
-/// the hot loop: the kernel sums every product as if both operands were
-/// normal, and each finished tile is corrected, `MR` rows at a time, by
-/// *band lanes* ([`owlp_format::bands`]) — per row band an `NR`-lane dot
+/// (`NR = 16` columns) of exactly the rows left: [`MR`]-row tiles, then
+/// one tile of the last `m % MR` rows, so no zero row is multiplied (an
+/// `m = 1` decode step runs 1-row tiles). The [`crate::microkernel`]
+/// computes each tile as an `i16×i16→i32` outer-product dot over the
+/// activation sval rows and one [`PackedPanels`] panel, summing `madd`
+/// pairs in `i32` for a period of [`microkernel::MADD_PERIOD`] and
+/// partial-summing `i64` lanes that spill into a per-element
+/// [`WindowAcc`] on the shared-exponent frame (no overflow by the
+/// K_SPILL bound). The call proves the period from the operands' sval
+/// bounds — the activation's taken once per call
+/// ([`owlp_format::packed::sval_bound`], one pass over `m·k` words), the
+/// weight's memoised on its panels ([`PackedPanels::sval_bound`]) — and
+/// runs the sweep on the scalar tier when they do not
+/// ([`microkernel::madd_period_holds`]; only a struck or foreign word
+/// outside the encoder's range can fail it). Outliers stay out of the
+/// hot loop: the kernel sums every product as if both operands were
+/// normal, and each finished tile is corrected by *band lanes*
+/// ([`owlp_format::bands`]) — per row band an `NR`-lane dot
 /// of `i32` delta coefficients against the panel, per column band a dot
 /// over the tile's live rows of the gathered activation column, plus the
 /// exact residual of the depths tagged on both sides. The true outlier
@@ -425,6 +433,11 @@ fn owlp_gemm_packed_impl<const ABFT: bool>(
     // Resolved before the fan-out so a `with_tier` override on this thread
     // (tests, per-tier benches) applies inside every pool worker.
     let tier = microkernel::selected_tier();
+    // The SIMD tiers' i32 sums, proven from the operands' measured sval
+    // bounds; unproven, the sweep runs scalar.
+    let proven =
+        panels.is_some_and(|p| microkernel::madd_period_holds(sval_bound(a_sval), p.sval_bound()));
+    let sweep_tier = if proven { tier } else { KernelTier::Scalar };
     // The outlier plan, hoisted out of the m×n sweep: the weight's column
     // band tables (memoised on its panels — built on the first GEMM, once
     // per weight — unless the weight is small), the activation's row band
@@ -442,8 +455,6 @@ fn owlp_gemm_packed_impl<const ABFT: bool>(
     // bit-identical to the serial sweep at every thread count.
     let grain = crate::exact::row_grain(k, m).next_multiple_of(NR);
     let col_ops = 2 * (k as u64).saturating_mul(m as u64).max(1);
-    // The 8-row tile runs on AVX2 only (see `MR8`).
-    let use_x8 = tier == microkernel::KernelTier::Avx2;
     let tiles = owlp_par::map_chunks_weighted(n, grain, col_ops, |cols| {
         let j0 = cols.start;
         let mut values;
@@ -498,36 +509,26 @@ fn owlp_gemm_packed_impl<const ABFT: bool>(
                 };
             // Weight-stationary traversal: each NR panel of the chunk
             // sweeps every row of A in tiles of exactly the rows left —
-            // eight at a time on AVX2, then four, then one tile of the last
-            // one to three — so no zero row is multiplied. The microkernel
-            // covers the outlier-free bulk: every product is an integer
-            // < 2^30 on the shared frame (outlier svals included as their
-            // as-if-normal value, corrected in the finalize), so regrouping
-            // into register tiles cannot change the exact per-element sum.
-            // The tile kernels spill their i64 lanes into the windows every
-            // K_SPILL depths, so any k runs in one pass.
+            // four at a time, then one tile of the last one to three — so
+            // no zero row is multiplied. The microkernel covers the
+            // outlier-free bulk: every product is an exact integer on the
+            // shared frame (outlier svals included as their as-if-normal
+            // value, corrected in the finalize), so regrouping into
+            // register tiles and periods cannot change the exact
+            // per-element sum. The tile kernels spill their i64 lanes into
+            // the windows every K_SPILL depths, so any k runs in one pass.
             for jb in cols.clone().step_by(NR) {
                 let panel = panels.panel(jb / NR);
                 let mut ib = 0;
                 while ib < m {
-                    let mr = if use_x8 && m - ib >= MR8 {
-                        MR8
-                    } else {
-                        MR.min(m - ib)
-                    };
+                    let mr = MR.min(m - ib);
                     let a = &a_sval[ib * k..(ib + mr) * k];
-                    // An 8-row tile finalizes as two MR-row halves.
-                    let mut done = |wins: &mut [[WindowAcc; NR]]| {
-                        for (h, wins) in wins.chunks_mut(MR).enumerate() {
-                            finalize_tile(wins, ib + h * MR, jb, panel);
-                        }
-                    };
+                    let t = sweep_tier;
                     match mr {
-                        MR8 => done(&mut row_tile::<MR8>(tier, a, panel, win0)),
-                        MR => done(&mut row_tile::<MR>(tier, a, panel, win0)),
-                        3 => done(&mut row_tile::<3>(tier, a, panel, win0)),
-                        2 => done(&mut row_tile::<2>(tier, a, panel, win0)),
-                        _ => done(&mut row_tile::<1>(tier, a, panel, win0)),
+                        MR => finalize_tile(&mut row_tile::<MR>(t, a, panel, win0), ib, jb, panel),
+                        3 => finalize_tile(&mut row_tile::<3>(t, a, panel, win0), ib, jb, panel),
+                        2 => finalize_tile(&mut row_tile::<2>(t, a, panel, win0), ib, jb, panel),
+                        _ => finalize_tile(&mut row_tile::<1>(t, a, panel, win0), ib, jb, panel),
                     }
                     ib += mr;
                 }
@@ -594,10 +595,10 @@ fn owlp_gemm_packed_impl<const ABFT: bool>(
 }
 
 /// The kernel windows of the `R` activation rows `a` (row-major, `R·k`
-/// svals) against one weight `panel`.
+/// svals) against one weight `panel`, on `tier`.
 #[inline]
 fn row_tile<const R: usize>(
-    tier: microkernel::KernelTier,
+    tier: KernelTier,
     a: &[i16],
     panel: &[i16],
     win0: WindowAcc,
@@ -1016,6 +1017,92 @@ mod tests {
         // The second call reuses the thread's kept buffers, bit for bit.
         assert_eq!(run_packed(&pa, &pb, Some(&panels), (m, k, n)), first);
         assert_eq!(run_packed(&pa, &pb, None, (m, k, n)), first);
+    }
+
+    /// `len` packed normals at the encoder's sval bound, `∓16 320` by
+    /// `neg`, with zeros where `zero` holds.
+    fn at_bound(len: usize, neg: bool, zero: impl Fn(usize) -> bool) -> PackedOperands {
+        let peak = DecodedOperand {
+            mag: 255 << 2,
+            sh: true,
+            sign: neg,
+            tag: false,
+            exp: 0,
+        };
+        let ops: Vec<DecodedOperand> = (0..len)
+            .map(|i| if zero(i) { DecodedOperand::ZERO } else { peak })
+            .collect();
+        PackedOperands::from_operands(127, &ops)
+    }
+
+    /// Panel word of weight element `(kk, j)`.
+    fn panel_index(panels: &PackedPanels, kk: usize, j: usize) -> usize {
+        (j / NR) * panels.padded_k() * NR + kk * NR + j % NR
+    }
+
+    /// The GEMM on every tier equals the forced-scalar run on the same
+    /// planes.
+    fn every_tier_matches_scalar(
+        pa: &PackedOperands,
+        pb: &PackedOperands,
+        panels: &PackedPanels,
+        dims: (usize, usize, usize),
+    ) {
+        use microkernel::{available_tiers, with_tier};
+        let run = || run_packed(pa, pb, Some(panels), dims);
+        let oracle = with_tier(KernelTier::Scalar, run);
+        for &tier in available_tiers() {
+            for t in [1, 4] {
+                let got = with_tier(tier, || owlp_par::with_threads(t, run));
+                assert_eq!(got, oracle, "{tier} at {t} threads");
+            }
+        }
+    }
+
+    #[test]
+    fn a_struck_panel_word_takes_the_scalar_tier() {
+        // Activations at 16 320 against weights at −16 320, one weight
+        // word struck from 0 to i16::MIN: the AVX2 tile's four madds of
+        // that column would sum past −2^31, so the period is not proven
+        // and the sweep runs scalar.
+        let (m, k, n) = (5, 19, 20);
+        let (kk, j) = (6, 17);
+        let pa = at_bound(m * k, false, |_| false);
+        let pb = at_bound(k * n, true, |x| x == kk * n + j);
+        let mut panels = pb.pack_panels(k, n);
+        let amax = sval_bound(pa.svals());
+        let proven = |p: &PackedPanels| microkernel::madd_period_holds(amax, p.sval_bound());
+        assert!(proven(&panels));
+        panels.flip_bit(panel_index(&panels, kk, j), 15);
+        assert!(!proven(&panels));
+        every_tier_matches_scalar(&pa, &pb, &panels, (m, k, n));
+    }
+
+    #[test]
+    fn struck_words_meeting_in_one_pair_take_the_scalar_tier() {
+        // Row i of A and column j of B both hold i16::MIN at depths 4 and
+        // 5, one madd pair: its i32 sum would be 2^31 on every SIMD tier.
+        // The activation's bound alone refuses the period too: against
+        // the clean panels, row i's struck pair and six depths at 16 320²
+        // would sum past 2^31 in the AVX2 tile's period.
+        let (m, k, n) = (3, 11, 18);
+        let (i, j) = (1, 9);
+        let struck = [4, 5];
+        let mut pa = at_bound(m * k, true, |x| struck.iter().any(|&d| x == i * k + d));
+        let pb = at_bound(k * n, true, |x| struck.iter().any(|&d| x == d * n + j));
+        let clean = pb.pack_panels(k, n);
+        let mut panels = clean.clone();
+        for d in struck {
+            pa.flip_bit(owlp_format::PackedPlane::Sval, i * k + d, 15);
+            panels.flip_bit(panel_index(&panels, d, j), 15);
+        }
+        for p in [&panels, &clean] {
+            assert!(!microkernel::madd_period_holds(
+                sval_bound(pa.svals()),
+                p.sval_bound()
+            ));
+            every_tier_matches_scalar(&pa, &pb, p, (m, k, n));
+        }
     }
 
     #[test]

@@ -1,38 +1,38 @@
 //! Register-tiled GEMM microkernels with explicit SIMD tiers and
 //! runtime dispatch.
 //!
-//! The scalar hot loop of [`crate::gemm::owlp_gemm_packed`] historically
-//! did one `u16 as i64 × u16 as i64` FMA per product, plus a per-product
-//! branch for the sign and the `{0,4,8}` post-multiply shift. The paper's
-//! whole point is that the OwL-P datapath is *integer-only* — so the
-//! software model should run at integer-SIMD speed too. This module
-//! restructures the inner loop around two facts:
+//! The hot loop of [`crate::gemm::owlp_gemm_packed`] is an integer
+//! multiply-add over folded significands, run on packed integer SIMD
+//! units — the software form of the paper's integer-only datapath. Two
+//! facts keep it exact:
 //!
 //! 1. **Products are exact in narrow integers.** A packed operand's folded
 //!    significand (`sval = ±(mag << 4·sh)`, see
-//!    [`owlp_format::packed::PackedOperands::svals`]) satisfies
-//!    `|sval| ≤ (2^11 − 1)·2^4 = 32752 < 2^15`, so it fits an `i16` and a
-//!    product of two fits an `i32` (`|p| < 2^30`) with no rounding — the
-//!    `{0,4,8}` shifter and both signs are already folded in. The
-//!    `i16×i16→i32` multiply-add shape is exactly what packed integer
-//!    SIMD units are built for — and since PR7 the kernels use them
-//!    **explicitly** rather than hoping the autovectorizer does.
+//!    [`owlp_format::packed::PackedOperands::svals`]) is an `i16`, so a
+//!    product of two fits an `i32` (`|p| ≤ 2^30`) with no rounding — the
+//!    `{0,4,8}` shifter and both signs are already folded in.
 //!
-//! 2. **Lane sums provably cannot overflow before the spill.** Partial
-//!    sums are kept in `i64` lanes and spilled into the existing
-//!    [`WindowAcc`] `i128` frame every [`K_SPILL`] terms. The bound:
-//!    `K_SPILL · max|p| ≤ 2^14 · 2^30 = 2^44 ≪ 2^63`, so the `i64` lane
-//!    is exact by a margin of 19 bits (any `K_SPILL ≤ 2^32` would do;
-//!    2^14 keeps a segment resident in L1). Integer addition is
+//! 2. **Lane sums provably cannot overflow.** Partial sums live in `i64`
+//!    lanes and spill into the [`WindowAcc`] `i128` frame every
+//!    [`K_SPILL`] terms: `K_SPILL · max|p| ≤ 2^14 · 2^30 = 2^44 ≪ 2^63`.
+//!    Below the `i64` lanes, the SIMD tiers sum products in `i32`: a
+//!    `madd` lane adds two, and the AVX2 tile adds a period of
+//!    [`MADD_PERIOD`]` = 4` `madd`s — eight products, the width of the
+//!    paper's 8-lane vector-sum block — before it widens them. With
+//!    `amax`/`bmax` the largest `|sval|` of the two operands, that period
+//!    is exact when `8·amax·bmax < 2^31`, which covers every encoder
+//!    output (`|sval| ≤ 16 320`, `8·16 320² = 2 130 739 200 < 2^31`). A
+//!    struck plane (`PackedPanels::flip_bit`) or a mapped plane the
+//!    encoder never wrote can hold any `i16`, so the drive loop proves the
+//!    bound per call, never assumes it: it measures both bounds
+//!    ([`owlp_format::packed::sval_bound`] over the activation, the
+//!    panels' memoised [`owlp_format::PackedPanels::sval_bound`]) and runs
+//!    the selected tier when [`madd_period_holds`], the scalar tier —
+//!    which widens every product — otherwise. Integer addition is
 //!    associative and commutative, so regrouping the dot product into
-//!    R×NR register tiles, K segments, per-lane partials — **or the
-//!    pairwise-`madd` adjacent sums of the SIMD tiers** — computes the
-//!    *same* exact integer as the scalar sweep; bit-identity with the
-//!    Kulisch oracle is preserved by construction at every tier. The one
-//!    extra SIMD obligation, that `madd`'s intra-instruction `i32` pair
-//!    sum itself cannot wrap, follows from the sval bound
-//!    (`2·32752² < 2^31`; only `(-32768)²·2` would overflow) — see the
-//!    module docs of `microkernel/x86.rs` for the full argument.
+//!    R×NR register tiles, K segments, `madd` pairs and periods computes
+//!    the *same* exact integer as the scalar sweep; bit-identity with the
+//!    Kulisch oracle is preserved by construction at every tier.
 //!
 //! ## Tiers and dispatch
 //!
@@ -43,21 +43,23 @@
 //! and the `OWLP_SIMD=scalar|sse2|avx2|neon|auto` override; tests force
 //! tiers per-scope with [`with_tier`]. The GEMM drive loop resolves the
 //! tier *before* fanning out to the thread pool and calls the `*_with`
-//! variants so a forced tier holds at every thread count. [`band_dot`]
-//! vectorizes only on AVX2 (it needs a signed widening 32-bit multiply);
-//! all other entry points vectorize on every non-scalar tier.
+//! variants so a forced tier holds at every thread count. Only the AVX2
+//! tile sums a [`MADD_PERIOD`] in `i32`; SSE2 and NEON widen every pair,
+//! so the same bound covers them. [`band_dot`] vectorizes only on AVX2
+//! (it needs a signed widening 32-bit multiply); all other entry points
+//! vectorize on every non-scalar tier.
 //!
-//! The kernel computes an `R`×[`NR`] output tile per call: `R` rows of A
-//! (flat sval slices) against one [`owlp_format::PackedPanels`] panel of
-//! `NR` interleaved weight columns. The tile height `R` is a const
+//! The kernel computes an `R`×[`NR`] output tile per call: `R ≤` [`MR`]
+//! rows of A (flat sval slices) against one [`owlp_format::PackedPanels`]
+//! panel of `NR = 16` weight columns stored K-major (`panel[kk·16 + c]`),
+//! so one depth row is one 256-bit load. The tile height `R` is a const
 //! generic, and a tile has exactly its live rows: the drive loop runs
-//! [`MR8`]-row tiles on AVX2, then [`MR`]-row tiles, then one tile of the
-//! `m % MR` rows left, so no zero row is ever multiplied. Columns rely on
-//! the panel's zero padding — zero svals contribute nothing, so there are
-//! no edge-case variants to diverge from the proof above. Panels may
-//! carry zero-padded depths beyond the K segment
-//! ([`owlp_format::PackedPanels::padded_k`]); the kernels only require
-//! `panel.len() ≥ seg·NR`.
+//! [`MR`]-row tiles, then one tile of the `m % MR` rows left, so no zero
+//! row is ever multiplied. Columns rely on the panel's zero padding —
+//! zero svals contribute nothing, so there are no edge-case variants to
+//! diverge from the proof above. Panels may carry zero-padded depths
+//! beyond the K segment ([`owlp_format::PackedPanels::padded_k`]); the
+//! kernels only require `panel.len() ≥ seg·NR`.
 //!
 //! The exact oracle [`crate::exact::exact_gemm`] calls none of these
 //! kernels: it shares no fast code with the path it judges.
@@ -75,22 +77,28 @@ pub use owlp_format::simd::{
 
 use crate::window::WindowAcc;
 
-/// Output-tile rows of the drive loop's standard tile.
+/// Output-tile rows of the drive loop's tile, on every tier.
 pub const MR: usize = 4;
-
-/// Output-tile rows of the AVX2 drive loop's tall tile: one panel load
-/// and its in-register interleave serve eight A rows. The drive loop runs
-/// it on AVX2 only — on SSE2 its accumulators alone would fill all sixteen
-/// xmm registers.
-pub const MR8: usize = 2 * MR;
 
 /// Output-tile columns per microkernel call — fixed by the panel layout.
 pub const NR: usize = owlp_format::packed::PANEL_NR;
 
 /// K-depth between lane spills into the [`WindowAcc`] frame. With
-/// products `|p| < 2^30`, a lane accumulates `< 2^44` per segment —
+/// products `|p| ≤ 2^30`, a lane accumulates `≤ 2^44` per segment —
 /// provably exact in `i64` (see the module docs).
 pub const K_SPILL: usize = 1 << 14;
+
+/// `madd` results the AVX2 tile sums in `i32` before widening them to
+/// `i64`: four `madd`s, eight products per lane.
+pub const MADD_PERIOD: usize = 4;
+
+/// Whether the operands' measured sval bounds prove a [`MADD_PERIOD`] of
+/// `i32` sums exact, `8·amax·bmax < 2^31` — the condition for running a
+/// GEMM's sweep on a SIMD tier. Take the bounds with
+/// [`owlp_format::packed::sval_bound`], which reads `i16::MIN` as 32 768.
+pub fn madd_period_holds(amax: u16, bmax: u16) -> bool {
+    2 * MADD_PERIOD as u64 * u64::from(amax) * u64::from(bmax) < 1 << 31
+}
 
 /// Multiplies one K-segment of an R×NR tile into the `i64` lane array:
 /// `lanes[r][c] += Σ_kk a_rows[r][kk] · panel[kk·NR + c]`, on `tier`
@@ -113,7 +121,8 @@ fn tile_mul_i16_with<const R: usize>(
     debug_assert!(panel.len() >= seg * NR, "panel shorter than the K segment");
     match clamp(tier) {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: `clamp` only yields Avx2 when runtime detection saw it.
+        // SAFETY: `clamp` only yields Avx2 when runtime detection saw it;
+        // the caller proved the period (see `tile_dot_i16_with`).
         KernelTier::Avx2 => unsafe { x86::tile_mul_i16_avx2(a_rows, panel, lanes) },
         #[cfg(target_arch = "x86_64")]
         KernelTier::Sse2 => x86::tile_mul_i16_sse2(a_rows, panel, lanes),
@@ -123,19 +132,13 @@ fn tile_mul_i16_with<const R: usize>(
     }
 }
 
-/// Full-depth R×NR tile: segments of [`K_SPILL`] terms accumulate in
-/// `i64` lanes and spill into per-element [`WindowAcc`]s cloned from
-/// `win0` (the shared-frame window of the GEMM call).
-#[inline]
-pub fn tile_dot_i16<const R: usize>(
-    a_rows: [&[i16]; R],
-    panel: &[i16],
-    win0: WindowAcc,
-) -> [[WindowAcc; NR]; R] {
-    tile_dot_i16_with(selected_tier(), a_rows, panel, win0)
-}
-
-/// [`tile_dot_i16`] on an explicit tier (clamped once up front).
+/// Full-depth R×NR tile on an explicit tier (clamped once up front):
+/// segments of [`K_SPILL`] terms accumulate in `i64` lanes and spill into
+/// per-element [`WindowAcc`]s cloned from `win0` (the shared-frame window
+/// of the GEMM call).
+///
+/// On a SIMD tier the caller must have proved [`madd_period_holds`] for
+/// these operands. The scalar tier is exact for any `i16` operands.
 #[inline]
 pub fn tile_dot_i16_with<const R: usize>(
     tier: KernelTier,
@@ -260,6 +263,7 @@ pub fn entry_point_tiers() -> [(&'static str, KernelTier); 3] {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use owlp_format::packed::{sval_bound, ENCODED_SVAL_MAX};
     use owlp_format::{encode_tensor, Bf16};
 
     fn bf(x: f32) -> Bf16 {
@@ -283,15 +287,32 @@ mod tests {
 
     #[test]
     fn sval_bound_is_i16_safe() {
-        // The proof constant: max mag (11 bits) at max shift.
+        // The type bound: max mag (11 bits) at max shift.
         let max = ((1i32 << 11) - 1) << 4;
         assert_eq!(max, 32752);
         assert!(max <= i16::MAX as i32);
-        // And the product bound used for K_SPILL.
-        assert!((max as i64 * max as i64) < 1 << 30);
+        // Any i16 product is exact in i32, and the K_SPILL lane bound.
+        assert!((i16::MIN as i64).pow(2) <= 1 << 30);
         assert!((K_SPILL as i64) << 30 <= 1 << 44);
-        // The madd-specific bound: an adjacent pair sum fits i32.
-        assert!(2 * (max as i64) * (max as i64) < 1 << 31);
+        // The encoder's bound carries a full period of madds in i32.
+        let e = i64::from(ENCODED_SVAL_MAX);
+        assert_eq!(e, 16320);
+        assert!(2 * MADD_PERIOD as i64 * e * e < 1 << 31);
+    }
+
+    #[test]
+    fn madd_period_holds_only_below_the_i32_limit() {
+        let enc = ENCODED_SVAL_MAX;
+        assert!(madd_period_holds(enc, enc));
+        assert!(madd_period_holds(0, 32768));
+        // 8·2^14·(2^14 − 1) < 2^31 = 8·2^14·2^14.
+        assert!(madd_period_holds(1 << 14, (1 << 14) - 1));
+        assert!(!madd_period_holds(1 << 14, 1 << 14));
+        // One operand at the type bound, the other at 2^13.
+        assert!(madd_period_holds(32752, 1 << 13));
+        assert!(!madd_period_holds(32768, 1 << 13));
+        // A struck word against encoder output.
+        assert!(!madd_period_holds(32768, enc));
     }
 
     #[test]
@@ -354,7 +375,7 @@ mod tests {
     #[test]
     fn r_row_tile_equals_r_one_row_tiles_on_every_tier() {
         let k = K_SPILL + 21; // spill crossing + odd remainder for the tails
-        let a: Vec<Bf16> = normals(MR8 * k, 77);
+        let a: Vec<Bf16> = normals(MR * k, 77);
         let b: Vec<Bf16> = normals(k * NR, 88);
         let ea = encode_tensor(&a, None).unwrap();
         let eb = encode_tensor(&b, None).unwrap();
@@ -366,7 +387,6 @@ mod tests {
         tile_equals_one_row_tiles::<2>(&rows, panel, win0);
         tile_equals_one_row_tiles::<3>(&rows, panel, win0);
         tile_equals_one_row_tiles::<MR>(&rows, panel, win0);
-        tile_equals_one_row_tiles::<MR8>(&rows, panel, win0);
     }
 
     #[test]
@@ -413,10 +433,39 @@ mod tests {
         }
     }
 
+    /// An `R`-row tile of `rows` against `panel` equals, on every tier,
+    /// the direct `i64` dot of each element. The operands must satisfy
+    /// [`madd_period_holds`].
+    fn tile_equals_direct_dots<const R: usize>(rows: &[Vec<i16>], panel: &[i16]) {
+        let a_rows: [&[i16]; R] = std::array::from_fn(|r| rows[r].as_slice());
+        let k = rows[0].len();
+        let amax = a_rows.iter().map(|r| sval_bound(r)).max().unwrap_or(0);
+        assert!(madd_period_holds(amax, sval_bound(panel)));
+        let win0 = WindowAcc::new(0);
+        for &tier in available_tiers() {
+            let got = tile_dot_i16_with(tier, a_rows, panel, win0);
+            for (r, row) in a_rows.iter().enumerate() {
+                for c in 0..NR {
+                    let want: i64 = (0..k)
+                        .map(|kk| row[kk] as i64 * panel[kk * NR + c] as i64)
+                        .sum();
+                    let mut w = win0;
+                    w.add_aligned(want);
+                    assert_eq!(
+                        got[r][c].raw(),
+                        w.raw(),
+                        "tier {tier} R={R} k={k} ({r},{c})"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn max_magnitude_svals_are_exact_on_every_tier() {
-        // The madd worst case: every operand at ±32752 with alternating
-        // signs, odd length so the remainder path runs too.
+        // The type-bound worst case, ±32752, through `dot_sval`, which
+        // widens every pair: alternating signs, odd length so the
+        // remainder path runs too.
         let k = 2 * K_SPILL + 15;
         let a: Vec<i16> = (0..k)
             .map(|i| if i % 2 == 0 { 32752 } else { -32752 })
@@ -430,37 +479,47 @@ mod tests {
             let got = dot_sval_with(tier, &a, &b, win0);
             assert_eq!(got.raw(), oracle.raw(), "tier {tier}");
         }
-        // And through the tile path at every height, one column of each
-        // sign pattern.
+        // And through the tile path at every height, with activations at
+        // the type bound against the widest panel words the period
+        // admits: each column its own sign pattern.
+        let w = 1i16 << 13;
         let panel: Vec<i16> = (0..k)
-            .flat_map(|i| {
-                let v = if i % 5 == 0 { -32752i16 } else { 32752 };
-                [v, -v, v, -v]
-            })
+            .flat_map(|i| (0..NR).map(move |c| if (i + c) % 5 == 0 { -w } else { w }))
             .collect();
-        fn check<const R: usize>(a: &[i16], b: &[i16], panel: &[i16], win0: WindowAcc) {
-            let a_rows: [&[i16]; R] = std::array::from_fn(|r| if r % 2 == 0 { a } else { b });
-            let oracle = tile_dot_i16_with(KernelTier::Scalar, a_rows, panel, win0);
-            for &tier in available_tiers() {
-                let got = tile_dot_i16_with(tier, a_rows, panel, win0);
-                for r in 0..R {
-                    for c in 0..NR {
-                        let (g, o) = (got[r][c].raw(), oracle[r][c].raw());
-                        assert_eq!(g, o, "tier {tier} R={R} ({r},{c})");
-                    }
+        let rows: Vec<Vec<i16>> = (0..MR)
+            .map(|r| if r % 2 == 0 { a.clone() } else { b.clone() })
+            .collect();
+        tile_equals_direct_dots::<1>(&rows, &panel);
+        tile_equals_direct_dots::<2>(&rows, &panel);
+        tile_equals_direct_dots::<3>(&rows, &panel);
+        tile_equals_direct_dots::<MR>(&rows, &panel);
+    }
+
+    #[test]
+    fn bound_svals_fill_a_period_exactly_on_every_tier() {
+        // Every product of one sign at the widest operands the period
+        // admits — both at the encoder's 16 320, and one at the type
+        // bound against 2^13 — so each period's i32 lanes reach
+        // 8·16 320² = 2 130 739 200 and 8·32 752·2^13 = 2 146 435 072,
+        // over full and partial periods and odd depths.
+        let e = ENCODED_SVAL_MAX as i16;
+        for (ea, eb) in [(e, e), (32752, 1 << 13)] {
+            for k in [1, 3, 7, 9, 15, 17, 23, 2 * MADD_PERIOD * 5 + 1] {
+                for (sa, sb) in [(ea, eb), (ea, -eb), (-ea, -eb)] {
+                    let rows: Vec<Vec<i16>> = (0..MR).map(|_| vec![sa; k]).collect();
+                    let panel = vec![sb; k * NR];
+                    tile_equals_direct_dots::<1>(&rows, &panel);
+                    tile_equals_direct_dots::<2>(&rows, &panel);
+                    tile_equals_direct_dots::<3>(&rows, &panel);
+                    tile_equals_direct_dots::<MR>(&rows, &panel);
                 }
             }
         }
-        check::<1>(&a, &b, &panel, win0);
-        check::<2>(&a, &b, &panel, win0);
-        check::<3>(&a, &b, &panel, win0);
-        check::<MR>(&a, &b, &panel, win0);
-        check::<MR8>(&a, &b, &panel, win0);
     }
 
     #[test]
     fn padded_panels_are_ignored_beyond_the_segment() {
-        // A panel longer than seg·NR (the PR7 zero-padded layout) must
+        // A panel longer than seg·NR (the zero-padded layout) must
         // produce the same lanes as the exact-length panel, at every tile
         // height.
         let k = 21; // odd: exercises every tier's tail
@@ -482,7 +541,49 @@ mod tests {
         check::<2>(&a, &exact, &padded);
         check::<3>(&a, &exact, &padded);
         check::<MR>(&a, &exact, &padded);
-        check::<MR8>(&a, &exact, &padded);
+    }
+
+    /// Deterministic xorshift stream.
+    fn xorshift(seed: u64) -> impl FnMut() -> u64 {
+        let mut state = seed;
+        move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        }
+    }
+
+    /// `band_dot_with` on every tier equals the scalar tier and the direct
+    /// per-column sums, counts included.
+    fn band_dot_agrees(depths: &[u32], coefs: &[i32], panel: &[i16]) {
+        let mut want_counts = [3u32; NR];
+        let want = band_dot_with(
+            KernelTier::Scalar,
+            depths,
+            coefs,
+            panel,
+            Some(&mut want_counts),
+        );
+        for c in 0..NR {
+            let lane: i64 = depths
+                .iter()
+                .zip(coefs)
+                .map(|(&kk, &cf)| cf as i64 * panel[kk as usize * NR + c] as i64)
+                .sum();
+            assert_eq!(want[c], lane);
+            let nonzero = depths
+                .iter()
+                .filter(|&&kk| panel[kk as usize * NR + c] != 0);
+            assert_eq!(want_counts[c], 3 + nonzero.count() as u32);
+        }
+        for &tier in available_tiers() {
+            let mut counts = [3u32; NR];
+            let got = band_dot_with(tier, depths, coefs, panel, Some(&mut counts));
+            assert_eq!(got, want, "tier {tier}");
+            assert_eq!(counts, want_counts, "tier {tier}");
+            assert_eq!(band_dot_with(tier, depths, coefs, panel, None), want);
+        }
     }
 
     #[test]
@@ -490,40 +591,41 @@ mod tests {
         // Widest coefficients against extreme panel words, repeated
         // depths, zero words, and the bounds the lane proof rests on.
         let k = 37;
-        let mut state = 0x5EEDu64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
+        let mut next = xorshift(0x5EED);
         const WORDS: [i16; 7] = [0, 1, -1, 255, -255, i16::MAX, i16::MIN];
         const COEFS: [i32; 6] = [1, -1, 255 << 23, -(255 << 23), i32::MAX, -i32::MAX];
         let panel: Vec<i16> = (0..k * NR).map(|_| WORDS[(next() % 7) as usize]).collect();
         let depths: Vec<u32> = (0..300).map(|_| (next() % k as u64) as u32).collect();
         let coefs: Vec<i32> = (0..300).map(|_| COEFS[(next() % 6) as usize]).collect();
-        let mut want_counts = [3u32; NR];
-        let want = band_dot_with(
-            KernelTier::Scalar,
-            &depths,
-            &coefs,
-            &panel,
-            Some(&mut want_counts),
-        );
-        for c in 0..NR {
-            let lane: i64 = depths
-                .iter()
-                .zip(&coefs)
-                .map(|(&kk, &cf)| cf as i64 * panel[kk as usize * NR + c] as i64)
-                .sum();
-            assert_eq!(want[c], lane);
-        }
-        for &tier in available_tiers() {
-            let mut counts = [3u32; NR];
-            let got = band_dot_with(tier, &depths, &coefs, &panel, Some(&mut counts));
-            assert_eq!(got, want, "tier {tier}");
-            assert_eq!(counts, want_counts, "tier {tier}");
-            assert_eq!(band_dot_with(tier, &depths, &coefs, &panel, None), want);
+        band_dot_agrees(&depths, &coefs, &panel);
+    }
+
+    #[test]
+    fn band_dot_counts_past_i16_at_sixteen_lanes() {
+        // More zero words per column than an i16 counter holds, up to the
+        // band's record limit: depths ≡ 0 (mod 4) hold all-zero rows,
+        // depths ≡ 1 zero even columns and i16::MIN odd ones, and every
+        // eighth record lands on a random depth.
+        let k = 64;
+        let mut next = xorshift(0xB16B);
+        let panel: Vec<i16> = (0..k * NR)
+            .map(|i| match (i / NR) % 4 {
+                0 => 0,
+                1 => [0, i16::MIN][i % 2],
+                _ => (next() % 512) as i16 - 256,
+            })
+            .collect();
+        for records in [40_000, owlp_format::bands::BAND_MAX_RECORDS] {
+            let depths: Vec<u32> = (0..records)
+                .map(|x| match x % 8 {
+                    7 => (next() % k as u64) as u32,
+                    r => (4 * (x % 16) + r % 2) as u32,
+                })
+                .collect();
+            let coefs: Vec<i32> = (0..records)
+                .map(|_| [i32::MAX, -i32::MAX, 1][(next() % 3) as usize])
+                .collect();
+            band_dot_agrees(&depths, &coefs, &panel);
         }
     }
 

@@ -1,20 +1,22 @@
 //! AArch64 NEON tier: `smlal`-family widening multiply-accumulates.
 //!
-//! The exactness argument mirrors [`super::x86`]: `vmull_s16`/`vmlal_s16`
-//! produce/accumulate exact `i32` values (one `vmull` + one `vmlal` sums
-//! two `i16×i16` products per `i32` lane — `≤ 2·32752² < 2^31`, so the
-//! `i32` never wraps given the sval bound), and every `i32` partial is
-//! widened to `i64` lanes (`vaddw_s32` / `vpadalq_s32`) before further
-//! accumulation. NEON is mandatory in AArch64, so these are safe
-//! functions dispatched whenever the tier is selected.
+//! The exactness argument mirrors the SSE2 tile in `x86.rs`: one
+//! `vmull_s16` plus one `vmlal_s16` sums two `i16×i16` products per `i32`
+//! lane, at most `2·amax·bmax`, below `2^31` whenever the drive loop's
+//! proof for the AVX2 period holds (`super::madd_period_holds`), which it
+//! checks before it picks a SIMD tier. Every `i32` partial is widened to
+//! `i64` lanes (`vaddw_s32` / `vpadalq_s32`) before further accumulation.
+//! NEON is mandatory in AArch64, so these are safe functions dispatched
+//! whenever the tier is selected.
 
 #![allow(unsafe_code)]
 
 use super::{scalar, NR};
 use std::arch::aarch64::*;
 
-/// NEON tier of `tile_mul_i16_with`: two K-depths × `NR` columns per
-/// step, one `vmull_s16` + `vmlal_s16` per row, widened via `vaddw_s32`.
+/// NEON tier of `tile_mul_i16_with`: the panel in four groups of four
+/// columns, two K-depths per step, one `vmull_s16` + `vmlal_s16` per row,
+/// widened via `vaddw_s32`.
 #[inline]
 pub fn tile_mul_i16_neon<const R: usize>(
     a_rows: [&[i16]; R],
@@ -25,27 +27,29 @@ pub fn tile_mul_i16_neon<const R: usize>(
     let pairs = seg & !1;
     unsafe {
         let p = panel.as_ptr();
-        let mut acc = [[vdupq_n_s64(0); 2]; R];
-        let mut kk = 0usize;
-        while kk < pairs {
-            let b0 = vld1_s16(p.add(kk * NR)); // depth kk, NR columns
-            let b1 = vld1_s16(p.add((kk + 1) * NR)); // depth kk+1
-            for r in 0..R {
-                let a0 = vdup_n_s16(*a_rows[r].get_unchecked(kk));
-                let a1 = vdup_n_s16(*a_rows[r].get_unchecked(kk + 1));
-                // Exact i32 column sums over the depth pair.
-                let s = vmlal_s16(vmull_s16(a0, b0), a1, b1);
-                acc[r][0] = vaddw_s32(acc[r][0], vget_low_s32(s));
-                acc[r][1] = vaddw_s32(acc[r][1], vget_high_s32(s));
+        for g in (0..NR).step_by(4) {
+            let mut acc = [[vdupq_n_s64(0); 2]; R];
+            let mut kk = 0usize;
+            while kk < pairs {
+                let b0 = vld1_s16(p.add(kk * NR + g)); // depth kk, columns g..g+4
+                let b1 = vld1_s16(p.add((kk + 1) * NR + g)); // depth kk+1
+                for r in 0..R {
+                    let a0 = vdup_n_s16(*a_rows[r].get_unchecked(kk));
+                    let a1 = vdup_n_s16(*a_rows[r].get_unchecked(kk + 1));
+                    // Exact i32 column sums over the depth pair.
+                    let s = vmlal_s16(vmull_s16(a0, b0), a1, b1);
+                    acc[r][0] = vaddw_s32(acc[r][0], vget_low_s32(s));
+                    acc[r][1] = vaddw_s32(acc[r][1], vget_high_s32(s));
+                }
+                kk += 2;
             }
-            kk += 2;
-        }
-        for (lr, ar) in lanes.iter_mut().zip(&acc) {
-            let mut t = [0i64; NR];
-            vst1q_s64(t.as_mut_ptr(), ar[0]);
-            vst1q_s64(t.as_mut_ptr().add(2), ar[1]);
-            for (lane, v) in lr.iter_mut().zip(t) {
-                *lane += v;
+            for (lr, ar) in lanes.iter_mut().zip(&acc) {
+                let mut t = [0i64; 4];
+                vst1q_s64(t.as_mut_ptr(), ar[0]);
+                vst1q_s64(t.as_mut_ptr().add(2), ar[1]);
+                for (lane, v) in lr[g..g + 4].iter_mut().zip(t) {
+                    *lane += v;
+                }
             }
         }
     }

@@ -1,12 +1,14 @@
 //! The scalar reference kernels — the always-on oracle.
 //!
-//! These are the PR5 register-tiled loops, verbatim: every SIMD tier in
-//! `x86.rs` / `neon.rs` is differential-tested against them
-//! (`tests/microkernel_equivalence.rs`), and `OWLP_SIMD=scalar` forces
-//! them at runtime on any host. They carry the exactness contract the
-//! SIMD tiers inherit: products are exact in `i32`, `i64` lane sums are
-//! exact per [`super::K_SPILL`] segment, and integer regrouping cannot
-//! change the sum.
+//! Every SIMD tier in `x86.rs` / `neon.rs` is differential-tested against
+//! these register-tiled loops (`tests/microkernel_equivalence.rs`), and
+//! `OWLP_SIMD=scalar` forces them at runtime on any host; the drive loop
+//! also falls back to them when the operands' measured sval bounds do not
+//! prove the SIMD tiers' `i32` sums exact (`super::madd_period_holds`).
+//! They carry the exactness contract the SIMD tiers inherit, for *any*
+//! `i16` operands: products are exact in `i32` (`|p| ≤ 2^30`), `i64` lane
+//! sums are exact per [`super::K_SPILL`] segment, and integer regrouping
+//! cannot change the sum.
 //!
 //! Contracts here are the relaxed module-level ones (`panel.len() ≥
 //! seg·NR`) — the public wrappers in [`super`] own the debug assertions.

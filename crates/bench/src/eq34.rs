@@ -77,7 +77,7 @@ pub fn run(seed: u64) -> Eq34 {
                 .physical_columns
                 .div_ceil(tiles)
                 .div_ceil(cfg.cols as u64);
-            let rows_per_tile = sim.streamed_rows / (tiles * folds_per_tile).max(1);
+            let rows_per_tile = sim.streamed_rows() / (tiles * folds_per_tile).max(1);
             let per_fold = (2 * cfg.rows + cfg.cols) as u64 + rows_per_tile - 2;
             let closed_form = per_fold * folds_per_tile * tiles;
             points.push(ValidationPoint {
@@ -85,7 +85,7 @@ pub fn run(seed: u64) -> Eq34 {
                 k,
                 n,
                 array: (rows, cols, lanes),
-                simulated: sim.cycles,
+                simulated: sim.cycles(),
                 closed_form,
                 conflict_free: sim.conflict_free,
                 bit_exact,

@@ -51,11 +51,11 @@
 //! and thread counts.
 
 use crate::bf16::Bf16;
-use crate::crc::{crc32c_bytes, SVAL_TILE};
+use crate::crc::{crc32c_bytes, Crc32cHasher, SVAL_TILE};
 use crate::encode::encode_tensor;
 use crate::error::FormatError;
 use crate::mmap::MappedFile;
-use crate::packed::{PackedOperands, PackedPanels};
+use crate::packed::{sval_bound, PackedOperands, PackedPanels};
 use crate::plane::{Plane, SvalPlane};
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
@@ -68,8 +68,10 @@ use std::sync::Arc;
 pub const ARCHIVE2_MAGIC: &[u8; 4] = b"OWL2";
 /// Footer magic (the header magic reversed — a torn file fails both).
 pub const ARCHIVE2_FOOTER_MAGIC: &[u8; 4] = b"2LWO";
-/// Format version.
-pub const ARCHIVE2_VERSION: u32 = 2;
+/// Format version. Version 3 stores [`crate::packed::PANEL_NR`]` = 16`
+/// column panels; a version-2 file holds 4-column panels, which the same
+/// shape would accept by length alone, so the version check rejects it.
+pub const ARCHIVE2_VERSION: u32 = 3;
 /// Every plane starts at a multiple of this file offset.
 pub const PLANE_ALIGN: u64 = 64;
 
@@ -145,6 +147,9 @@ pub struct PlaneDesc {
     pub crc: u32,
 }
 
+/// Index of the panel plane in [`PLANE_NAMES`] and a tensor's planes.
+const PANEL_PLANE: usize = 3;
+
 const PLANE_NAMES: [&str; 6] = [
     "mag",
     "meta",
@@ -191,6 +196,22 @@ fn le_bytes<'a, T: Copy, const W: usize>(
 /// granule `owlp-integrity` localises faults at.
 fn tile_crcs(bytes: &[u8]) -> Vec<u32> {
     bytes.chunks(SVAL_TILE * 2).map(crc32c_bytes).collect()
+}
+
+/// CRC32C of a panel plane's `bytes` and the [`sval_bound`] of the
+/// `words` decoded from them, in one pass: each chunk's words are bounded
+/// while they are still in cache from the digest. A byte past the last
+/// whole word (an odd plane length in a corrupt index) is digested too.
+fn crc_and_sval_bound(bytes: &[u8], words: &[i16]) -> (u32, u16) {
+    const CHUNK: usize = 1 << 13;
+    let mut crc = Crc32cHasher::new();
+    let mut bound = 0;
+    for (b, w) in bytes.chunks(2 * CHUNK).zip(words.chunks(CHUNK)) {
+        crc.update(&b[..2 * w.len()]);
+        bound = bound.max(sval_bound(w));
+    }
+    crc.update(&bytes[2 * words.len()..]);
+    (crc.finalize(), bound)
 }
 
 /// Summary the writer returns from [`ArchiveWriter::finish`].
@@ -633,6 +654,10 @@ impl MappedArchive {
 
     /// Loads `name` after verifying each plane's whole-plane CRC32C
     /// digest against the mapped bytes — the default integrity posture.
+    /// The panel plane is checked last, after the build (which reads only
+    /// the other, verified planes), so that its digest pass also takes its
+    /// words' sval bound ([`PackedPanels::sval_bound`]) and the first GEMM
+    /// does not read the plane again.
     ///
     /// # Errors
     ///
@@ -640,16 +665,30 @@ impl MappedArchive {
     /// plane-validation failures.
     pub fn tensor(&self, name: &str) -> Result<MappedTensor, ArchiveError> {
         let e = self.entry(name)?;
-        for (p, plane_name) in e.planes.iter().zip(PLANE_NAMES) {
-            let bytes = self.plane_bytes(p);
-            if crc32c_bytes(bytes) != p.crc {
-                return Err(ArchiveError::Digest {
-                    tensor: e.name.clone(),
-                    plane: plane_name,
-                });
+        let digest_error = |i: usize| ArchiveError::Digest {
+            tensor: e.name.clone(),
+            plane: PLANE_NAMES[i],
+        };
+        for (i, p) in e.planes.iter().enumerate() {
+            if i != PANEL_PLANE && crc32c_bytes(self.plane_bytes(p)) != p.crc {
+                return Err(digest_error(i));
             }
         }
-        self.build_tensor(e)
+        let tensor = self.build_tensor(e)?;
+        let p = &e.planes[PANEL_PLANE];
+        let bytes = self.plane_bytes(p);
+        let crc = match &tensor.panels {
+            Some(panels) => {
+                let (crc, bound) = crc_and_sval_bound(bytes, panels.data());
+                panels.seed_sval_bound(bound);
+                crc
+            }
+            None => crc32c_bytes(bytes),
+        };
+        if crc != p.crc {
+            return Err(digest_error(PANEL_PLANE));
+        }
+        Ok(tensor)
     }
 
     /// Loads `name` without digest verification — pure pointer work, for
@@ -682,7 +721,7 @@ impl MappedArchive {
             }
             for (desc, table, plane_name) in [
                 (&e.planes[2], &e.sval_tiles, "sval tiles"),
-                (&e.planes[3], &e.panel_tiles, "panel tiles"),
+                (&e.planes[PANEL_PLANE], &e.panel_tiles, "panel tiles"),
             ] {
                 let bytes = self.plane_bytes(desc);
                 let tile_bytes = SVAL_TILE * 2;
@@ -729,8 +768,9 @@ impl MappedArchive {
             exp,
         )?;
         let panels = if e.flags & FLAG_HAS_PANELS != 0 {
-            let words = (e.planes[3].byte_len / 2) as usize;
-            let plane = SvalPlane::from_mapped(&self.file, e.planes[3].offset as usize, words)?;
+            let words = (e.planes[PANEL_PLANE].byte_len / 2) as usize;
+            let plane =
+                SvalPlane::from_mapped(&self.file, e.planes[PANEL_PLANE].offset as usize, words)?;
             Some(PackedPanels::from_plane(e.k as usize, e.n as usize, plane)?)
         } else {
             None
@@ -995,8 +1035,8 @@ mod tests {
                 }
             }
         }
-        // 64 header (the other 64 load), 288 footer and 3,312 index flips.
-        assert_eq!((errors, loads), (352 + 3312, 64));
+        // 64 header (the other 64 load), 288 footer and 3,344 index flips.
+        assert_eq!((errors, loads), (352 + 3344, 64));
         // An index with a valid digest that claims u32::MAX sval tiles for
         // its first tensor: past the name, five u64 fields and six plane
         // descriptors.
@@ -1009,6 +1049,72 @@ mod tests {
         let opened = open(&bytes);
         assert!(typed(&opened), "{:?}", opened.err());
         std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn a_version_2_archive_gives_the_typed_version_error() {
+        // Version 2 stored 4-column panels: a tensor whose `n` is a
+        // multiple of 16 has a panel plane of the same length, so only
+        // the version tells the layouts apart.
+        let path = temp_path("v2");
+        write_archive(&path, &[("w", 24, 32)]);
+        let mut bytes = std::fs::read(&path).unwrap();
+        assert_eq!(bytes[4..8], ARCHIVE2_VERSION.to_le_bytes());
+        bytes[4..8].copy_from_slice(&2u32.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        let opened = MappedArchive::open(&path);
+        assert!(
+            matches!(
+                opened,
+                Err(ArchiveError::Format(FormatError::CorruptStream {
+                    reason: "unsupported archive version"
+                }))
+            ),
+            "{:?}",
+            opened.err()
+        );
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn a_verified_load_takes_the_panel_bound_in_its_digest_pass() {
+        let path = temp_path("bound");
+        write_archive(&path, &[("w", 37, 40)]);
+        let ar = MappedArchive::open(&path).unwrap();
+        let verified = ar.tensor("w").unwrap();
+        let panels = verified.panels().unwrap();
+        let want = crate::packed::sval_bound(panels.data());
+        assert!(want > 0);
+        assert_eq!(panels.memoised_bound(), Some(want));
+        let unverified = ar.tensor_unverified("w").unwrap();
+        assert_eq!(unverified.panels().unwrap().memoised_bound(), None);
+        drop(ar);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn the_fused_digest_covers_every_byte() {
+        // Lengths across the chunk boundary, and an odd byte past the
+        // last whole word: the digest is the plain one of every byte.
+        let words: Vec<i16> = (0..20_000)
+            .map(|i| (i * 37 % 65_536) as u16 as i16)
+            .collect();
+        let bytes: Vec<u8> = words
+            .iter()
+            .flat_map(|w| w.to_le_bytes())
+            .chain([0xA5])
+            .collect();
+        for w in [0, 1, 8191, 8192, 8193, 16_384, 20_000] {
+            for extra in [0, 1] {
+                let b = &bytes[..2 * w + extra];
+                let got = crc_and_sval_bound(b, &words[..w]);
+                assert_eq!(
+                    got,
+                    (crc32c_bytes(b), sval_bound(&words[..w])),
+                    "{w}+{extra}"
+                );
+            }
+        }
     }
 
     #[test]

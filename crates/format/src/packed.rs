@@ -15,9 +15,10 @@
 //! pre-shift already applied, `±(mag << 4·sh)`. A normal magnitude is
 //! ≤ 11 bits and the folded shift adds at most 4, so `|sval| ≤ 32752`
 //! always fits an `i16` — and a product of two svals is exact in `i32`
-//! (the paper's `{0,4,8}` post-multiply shifter becomes a no-op). That
-//! turns the GEMM inner loop into a plain `i16×i16→i32` multiply-add,
-//! the shape autovectorizers map onto packed integer FMA lanes.
+//! (the paper's `{0,4,8}` post-multiply shifter becomes a no-op). The
+//! encoder's own output is tighter still, `|sval| ≤` [`ENCODED_SVAL_MAX`]
+//! `= 16 320`. That turns the GEMM inner loop into a plain
+//! `i16×i16→i32` multiply-add, the shape packed integer SIMD units run.
 
 use crate::aligned::AlignedVec;
 use crate::bands::OutlierBands;
@@ -60,14 +61,33 @@ pub enum PackedPlane {
 }
 
 /// Output columns per weight panel — the NR of the `owlp-arith`
-/// register-tiled microkernel (which re-exports it as its own `NR`).
-pub const PANEL_NR: usize = 4;
+/// register-tiled microkernel (which re-exports it as its own `NR`). One
+/// panel depth row is 16 `i16` words, one 256-bit register.
+pub const PANEL_NR: usize = 16;
 
-/// Panel depths are zero-padded to this multiple: 8 depths × [`PANEL_NR`]
-/// columns × 2 bytes = one 64-byte stride, so every panel of an
+/// Panel depths are zero-padded to this multiple: one 8-depth block is
+/// 8 depths × [`PANEL_NR`] columns × 2 bytes = 256 B, so every panel of an
 /// [`AlignedVec`]-backed store starts cache-line aligned and the SIMD
-/// microkernel's 4-depth quad loads tile it evenly.
+/// microkernel's depth-pair loads tile it evenly.
 pub const PANEL_K_PAD: usize = 8;
+
+/// Largest `|sval|` the encoder writes: a normal peaks at bias `0b110`,
+/// `255 << 2 << 4`, and an outlier's raw significand is at most 255. The
+/// microkernel's `i32` accumulation period rests on bounds *measured* on
+/// the operands ([`sval_bound`]), never on this constant: a struck or
+/// foreign plane can hold any `i16`.
+pub const ENCODED_SVAL_MAX: u16 = 255 << 2 << 4;
+
+/// The largest `|sval|` in `svals` (0 when empty), as `u16` so that
+/// `i16::MIN` reads 32 768.
+#[inline]
+pub fn sval_bound(svals: &[i16]) -> u16 {
+    // The extremes fold in `i16` lanes (signed min/max are SSE2 ops).
+    let (lo, hi) = svals
+        .iter()
+        .fold((0i16, 0i16), |(lo, hi), &v| (lo.min(v), hi.max(v)));
+    lo.unsigned_abs().max(hi.unsigned_abs())
+}
 
 /// A tensor's decoded operands in struct-of-arrays form.
 ///
@@ -499,14 +519,16 @@ impl PackedOperands {
         let kp = k.next_multiple_of(PANEL_K_PAD);
         let sval = self.svals();
         let mut data = AlignedVec::zeroed(panels * kp * PANEL_NR);
+        let mut bound = 0;
         for pb in 0..n.div_ceil(PANEL_NR) {
             let j0 = pb * PANEL_NR;
             let cols = PANEL_NR.min(n - j0);
             let base = pb * kp * PANEL_NR;
             for kk in 0..k {
-                let src = kk * n + j0;
+                let src = &sval[kk * n + j0..kk * n + j0 + cols];
                 let dst = base + kk * PANEL_NR;
-                data[dst..dst + cols].copy_from_slice(&sval[src..src + cols]);
+                data[dst..dst + cols].copy_from_slice(src);
+                bound = bound.max(sval_bound(src));
             }
         }
         PackedPanels {
@@ -515,6 +537,7 @@ impl PackedOperands {
             n,
             data: SvalPlane::from(data),
             bands: OnceLock::new(),
+            bound: OnceLock::from(bound),
         }
     }
 }
@@ -530,8 +553,8 @@ impl PackedOperands {
 /// Built once per weight tensor via [`PackedOperands::pack_panels`] and
 /// memoised on the arith layer's `PreparedTensor`. The weight's column
 /// outlier band tables ([`OutlierBands::columns`]) are memoised here too,
-/// built on first use by [`PackedPanels::column_bands`]; equality ignores
-/// that memo.
+/// built on first use by [`PackedPanels::column_bands`], and so is the
+/// panel words' [`PackedPanels::sval_bound`]; equality ignores both memos.
 #[derive(Debug, Clone)]
 pub struct PackedPanels {
     k: usize,
@@ -545,6 +568,10 @@ pub struct PackedPanels {
     /// The column band tables, derived from these panels and the weight's
     /// outlier side tables on first use; dropped by every panel mutation.
     bands: OnceLock<OutlierBands>,
+    /// [`sval_bound`] of the panel words: set by the pack or by the
+    /// verified archive load's digest pass, else taken on first use;
+    /// dropped by every panel mutation.
+    bound: OnceLock<u16>,
 }
 
 impl PartialEq for PackedPanels {
@@ -579,6 +606,7 @@ impl PackedPanels {
             n,
             data,
             bands: OnceLock::new(),
+            bound: OnceLock::new(),
         })
     }
 
@@ -625,10 +653,33 @@ impl PackedPanels {
     /// injection primitive for the repacked weight store (an involution;
     /// copy-on-writes first when the store is mapped, so the file is
     /// never struck). Drops the memoised band tables, whose coefficients
-    /// were derived from the old word.
+    /// were derived from the old word, and the memoised sval bound.
     pub fn flip_bit(&mut self, index: usize, bit: u32) {
         self.bands = OnceLock::new();
+        self.bound = OnceLock::new();
         self.data.make_mut()[index] ^= 1i16 << bit;
+    }
+
+    /// The largest `|sval|` of the panel words ([`sval_bound`]), memoised:
+    /// [`PackedOperands::pack_panels`] takes it during its copy,
+    /// [`crate::MappedArchive::tensor`] during its digest pass, and any
+    /// other wrapped plane ([`PackedPanels::from_plane`]) on the first
+    /// call.
+    pub fn sval_bound(&self) -> u16 {
+        *self.bound.get_or_init(|| sval_bound(self.data()))
+    }
+
+    /// Memoises `bound`, taken from these very words in a pass that read
+    /// them anyway (the verified archive load's digest).
+    pub(crate) fn seed_sval_bound(&self, bound: u16) {
+        debug_assert_eq!(bound, sval_bound(self.data()));
+        let _ = self.bound.set(bound);
+    }
+
+    /// The memoised sval bound, if it has been taken.
+    #[cfg(test)]
+    pub(crate) fn memoised_bound(&self) -> Option<u16> {
+        self.bound.get().copied()
     }
 
     /// The weight's column outlier band tables, built from these panels
@@ -1073,6 +1124,52 @@ mod tests {
         assert_eq!(rebuilt, panels);
         assert!(PackedPanels::from_plane(k + PANEL_K_PAD, n, plane.clone()).is_err());
         assert!(PackedPanels::from_plane(k, n + PANEL_NR, plane).is_err());
+    }
+
+    #[test]
+    fn panel_bound_is_memoised_and_dropped_by_a_strike() {
+        let (k, n) = (13, 20);
+        let packed = encode_tensor(&mixed(k * n), None).unwrap().decode_packed();
+        let mut panels = packed.pack_panels(k, n);
+        let clean = sval_bound(packed.svals());
+        assert_eq!(panels.memoised_bound(), Some(clean), "the pack takes it");
+        // A wrapped plane takes it on first use.
+        let plane = SvalPlane::from(panels.data().iter().copied().collect::<AlignedVec>());
+        let wrapped = PackedPanels::from_plane(k, n, plane).unwrap();
+        assert_eq!(wrapped.memoised_bound(), None);
+        assert_eq!(wrapped.sval_bound(), clean);
+        assert_eq!(wrapped.memoised_bound(), Some(clean));
+        // A bit-15 strike of a zero word reads i16::MIN, 32 768.
+        let zero = panels.data()[..k * PANEL_NR]
+            .iter()
+            .position(|&v| v == 0)
+            .unwrap();
+        panels.flip_bit(zero, 15);
+        assert_eq!(panels.memoised_bound(), None, "a strike drops the memo");
+        assert_eq!(panels.sval_bound(), 32768);
+        panels.flip_bit(zero, 15);
+        assert_eq!(panels.memoised_bound(), None);
+        assert_eq!(panels.sval_bound(), clean);
+        assert_eq!(panels, packed.pack_panels(k, n));
+    }
+
+    #[test]
+    fn encoder_output_stays_within_the_encoded_sval_bound() {
+        // Every finite BF16 pattern, at its own shared exponent and beside
+        // a huge value that pulls the window up.
+        let finite: Vec<Bf16> = crate::bf16::all_finite().collect();
+        let mut shifted = finite.clone();
+        shifted.push(bf(3.0e38));
+        let mut peak = 0;
+        for data in [finite, shifted, mixed(300)] {
+            let packed = encode_tensor(&data, None).unwrap().decode_packed();
+            let b = sval_bound(packed.svals());
+            assert!(b <= ENCODED_SVAL_MAX, "{b}");
+            peak = peak.max(b);
+        }
+        assert_eq!(peak, ENCODED_SVAL_MAX, "the bound is reached");
+        assert_eq!(sval_bound(&[0, -5, i16::MIN, 7]), 32768);
+        assert_eq!(sval_bound(&[]), 0);
     }
 
     #[test]

@@ -40,12 +40,8 @@ pub struct TechLibrary {
 
     /// On-chip SRAM read energy per byte (large banked arrays).
     pub sram_read_pj_per_byte: f64,
-    /// On-chip SRAM write energy per byte.
-    pub sram_write_pj_per_byte: f64,
     /// Off-chip HBM2 access energy per bit (I/O + DRAM core).
     pub dram_pj_per_bit: f64,
-    /// SRAM macro density, bytes per µm² (≈ 0.25 MB/mm² at 28 nm).
-    pub sram_bytes_per_um2: f64,
     /// Static leakage per mm² of logic, mW.
     pub leakage_mw_per_mm2: f64,
 }
@@ -68,9 +64,7 @@ impl TechLibrary {
         fp_norm_energy_per_bit: 0.0090,
 
         sram_read_pj_per_byte: 6.0,
-        sram_write_pj_per_byte: 7.5,
         dram_pj_per_bit: 2.5,
-        sram_bytes_per_um2: 0.26,
         leakage_mw_per_mm2: 18.0,
     };
 }
@@ -102,9 +96,7 @@ mod tests {
             l.mux_energy_per_bit,
             l.fp_norm_energy_per_bit,
             l.sram_read_pj_per_byte,
-            l.sram_write_pj_per_byte,
             l.dram_pj_per_bit,
-            l.sram_bytes_per_um2,
             l.leakage_mw_per_mm2,
         ] {
             assert!(v > 0.0);

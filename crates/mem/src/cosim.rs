@@ -461,7 +461,7 @@ mod tests {
         let s = spec(0, 0, 512);
         let coupled = e.couple_event_sim(&s, &sim);
         assert_eq!(coupled.groups, sim.folds.len() as u64);
-        assert_eq!(coupled.compute_cycles, sim.cycles as f64);
+        assert_eq!(coupled.compute_cycles, sim.cycles() as f64);
         // Compute-bound here, so the coupled makespan is exactly
         // max(compute, memory) + head fetch.
         assert_eq!(

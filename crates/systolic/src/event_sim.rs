@@ -80,8 +80,6 @@ pub struct FoldRecord {
 /// Outcome of an event-driven simulation run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EventSimResult {
-    /// Total cycles, accumulated fold by fold (`2R + C + M_fold − 2` each).
-    pub cycles: u64,
     /// Row-major `m×n` FP32 outputs.
     pub outputs: Vec<f32>,
     /// Largest outlier-wavefront occupancy observed at any column bottom
@@ -89,17 +87,27 @@ pub struct EventSimResult {
     pub max_wavefront_occupancy: usize,
     /// Whether every wavefront stayed within the outlier-path capacity.
     pub conflict_free: bool,
-    /// Effective activation rows streamed (across folds), for `r_a`
-    /// cross-checks.
-    pub streamed_rows: u64,
     /// Effective physical weight columns (across K-tiles), for `r_w`
     /// cross-checks.
     pub physical_columns: u64,
-    /// Every fold in issue order (`Σ cycles == cycles`). The per-fold
+    /// Every fold in issue order. The per-fold
     /// cycles are the phase-coupling hook for the `owlp-mem` co-simulator
     /// (each fold is one compute group whose makespan races its tile
     /// fetch); the per-row records drive the VCD waveform.
     pub folds: Vec<FoldRecord>,
+}
+
+impl EventSimResult {
+    /// Total cycles: the folds' cycles summed (`2R + C + M_fold − 2` each).
+    pub fn cycles(&self) -> u64 {
+        self.folds.iter().map(|f| f.cycles).sum()
+    }
+
+    /// Effective activation rows streamed (across folds), for `r_a`
+    /// cross-checks.
+    pub fn streamed_rows(&self) -> u64 {
+        self.folds.iter().map(|f| f.rows.len() as u64).sum()
+    }
 }
 
 /// Simulates the OwL-P array on a GEMM, **with** outlier-aware scheduling.
@@ -164,11 +172,9 @@ fn run(
     check(b.len() == k * n, "B", k * n, b.len())?;
     if m == 0 || k == 0 || n == 0 {
         return Ok(EventSimResult {
-            cycles: 0,
             outputs: vec![0.0; m * n],
             max_wavefront_occupancy: 0,
             conflict_free: true,
-            streamed_rows: 0,
             physical_columns: 0,
             folds: Vec::new(),
         });
@@ -193,8 +199,6 @@ fn run(
     });
 
     let mut accs: Vec<KulischAcc> = vec![KulischAcc::new(); m * n];
-    let mut cycles = 0u64;
-    let mut streamed_rows = 0u64;
     let mut physical_columns = 0u64;
     let mut folds = Vec::new();
 
@@ -284,8 +288,6 @@ fn run(
         let col_ops = 2 * (arows.len() as u64).saturating_mul((hi - lo) as u64).max(1);
         for fold in wcols.chunks(cfg.cols) {
             let fold_len = (2 * cfg.rows + cfg.cols) as u64 + arows.len() as u64 - 2;
-            cycles += fold_len;
-            streamed_rows += arows.len() as u64;
             let column_pass = |wcol: &Stream| {
                 let mut partials = vec![KulischAcc::new(); arows.len()];
                 let occupancy: Vec<usize> = arows
@@ -330,11 +332,9 @@ fn run(
         .max()
         .unwrap_or(0);
     Ok(EventSimResult {
-        cycles,
         outputs,
         max_wavefront_occupancy: max_occ,
         conflict_free: capacity == 0 || max_occ <= capacity,
-        streamed_rows,
         physical_columns,
         folds,
     })
@@ -410,8 +410,8 @@ mod tests {
         let b = synth(k * n, 6, 0);
         let r = simulate_gemm(&cfg, &a, &b, m, k, n).unwrap();
         let expect = cycles_with_overhead(&cfg, m, k, n, 1.0, 1.0);
-        assert_eq!(r.cycles, expect.total);
-        assert_eq!(r.streamed_rows, (m as u64) * expect.folds);
+        assert_eq!(r.cycles(), expect.total);
+        assert_eq!(r.streamed_rows(), (m as u64) * expect.folds);
     }
 
     #[test]
@@ -430,16 +430,16 @@ mod tests {
         let eq4 = cycles_with_overhead(&cfg, m, k, n, sa.ratio, sw.ratio);
         // Eq. (4) folds per-tile overheads into one global ratio, so allow a
         // small discrepancy; the simulator is the ground truth.
-        let rel = (r.cycles as f64 - eq4.total as f64).abs() / r.cycles as f64;
-        assert!(rel < 0.15, "sim {} vs eq4 {}", r.cycles, eq4.total);
-        assert!(r.cycles >= cycles_with_overhead(&cfg, m, k, n, 1.0, 1.0).total);
+        let rel = (r.cycles() as f64 - eq4.total as f64).abs() / r.cycles() as f64;
+        assert!(rel < 0.15, "sim {} vs eq4 {}", r.cycles(), eq4.total);
+        assert!(r.cycles() >= cycles_with_overhead(&cfg, m, k, n, 1.0, 1.0).total);
     }
 
     #[test]
     fn zero_dimensions() {
         let cfg = ArrayConfig::small(2, 2, 2);
         let r = simulate_gemm(&cfg, &[], &[], 0, 0, 0).unwrap();
-        assert_eq!(r.cycles, 0);
+        assert_eq!(r.cycles(), 0);
         assert!(r.outputs.is_empty());
     }
 
@@ -450,7 +450,7 @@ mod tests {
         let b = vec![Bf16::from_f32(-1.5)];
         let r = simulate_gemm(&cfg, &a, &b, 1, 1, 1).unwrap();
         assert_eq!(r.outputs, vec![-4.5]);
-        assert_eq!(r.cycles, (2 + 1 + 1 - 2) as u64);
+        assert_eq!(r.cycles(), (2 + 1 + 1 - 2) as u64);
     }
 
     #[test]
@@ -497,10 +497,6 @@ mod tests {
         let a = synth(m * k, 21, 6);
         let b = synth(k * n, 22, 8);
         let owlp = simulate_gemm(&cfg, &a, &b, m, k, n).unwrap();
-        assert_eq!(
-            owlp.folds.iter().map(|f| f.cycles).sum::<u64>(),
-            owlp.cycles
-        );
         assert!(!owlp.folds.is_empty());
 
         // Dense activation outliers force scheduler-inserted rows: every
@@ -515,8 +511,6 @@ mod tests {
             let expect = (2 * cfg.rows + cfg.cols + f.rows.len()) as u64 - 2;
             assert_eq!(f.cycles, expect);
         }
-        let recorded: usize = r.folds.iter().map(|f| f.rows.len()).sum();
-        assert_eq!(recorded as u64, r.streamed_rows);
         let worst = rows.map(|row| row.occupancy).max().unwrap();
         assert_eq!(r.max_wavefront_occupancy, worst);
         assert!(worst > 0);

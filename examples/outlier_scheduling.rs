@@ -83,9 +83,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "  scheduled:   max wavefront occupancy {} -> conflict-free: {} ({} extra cycles: {} vs {})",
         fixed.max_wavefront_occupancy,
         fixed.conflict_free,
-        fixed.cycles - raw.cycles,
-        fixed.cycles,
-        raw.cycles
+        fixed.cycles() - raw.cycles(),
+        fixed.cycles(),
+        raw.cycles()
     );
     assert!(fixed.conflict_free);
 

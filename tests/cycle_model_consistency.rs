@@ -56,10 +56,10 @@ proptest! {
         }
         // Eq. (3) is a lower bound (scheduling only adds cycles).
         let eq3 = cycles_with_overhead(&cfg, m, k, n, 1.0, 1.0);
-        prop_assert!(sim.cycles >= eq3.total, "sim {} < eq3 {}", sim.cycles, eq3.total);
+        prop_assert!(sim.cycles() >= eq3.total, "sim {} < eq3 {}", sim.cycles(), eq3.total);
         // And the simulated cycles stay within 2x of the outlier-free bound
         // for these profiles (r values are small).
-        prop_assert!(sim.cycles <= 2 * eq3.total.max(1), "sim {} vs eq3 {}", sim.cycles, eq3.total);
+        prop_assert!(sim.cycles() <= 2 * eq3.total.max(1), "sim {} vs eq3 {}", sim.cycles(), eq3.total);
     }
 
     /// Without outliers, the event simulator reproduces Eq. (3) exactly.
@@ -80,6 +80,6 @@ proptest! {
             .collect();
         let sim = simulate_gemm(&cfg, &a, &b, m, k, n).expect("simulation runs");
         let eq3 = cycles_with_overhead(&cfg, m, k, n, 1.0, 1.0);
-        prop_assert_eq!(sim.cycles, eq3.total);
+        prop_assert_eq!(sim.cycles(), eq3.total);
     }
 }

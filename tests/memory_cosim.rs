@@ -58,7 +58,6 @@ fn coupled_event_sim_makespan_decomposes_as_max_plus_prologue() {
     let (a, b) = (data(m * k, 1), data(k * n, 2));
     let sim = event_sim::simulate_gemm(&cfg, &a, &b, m, k, n).expect("finite inputs");
     assert!(!sim.folds.is_empty());
-    assert_eq!(sim.folds.iter().map(|f| f.cycles).sum::<u64>(), sim.cycles);
 
     let acc = Accelerator::owlp();
     let engine = cosim::engine_for(&acc);
@@ -73,7 +72,7 @@ fn coupled_event_sim_makespan_decomposes_as_max_plus_prologue() {
         macs: (m * k * n) as u64,
     };
     let r = engine.couple_event_sim(&spec, &sim);
-    assert_eq!(r.compute_cycles, sim.cycles as f64);
+    assert_eq!(r.compute_cycles, sim.cycles() as f64);
     let slack = 1e-9 * r.makespan.max(1.0);
     assert!(
         (r.makespan - (r.compute_cycles.max(r.memory_cycles) + r.prologue)).abs() <= slack,

@@ -8,9 +8,11 @@
 use owlp_repro::arith::exact::exact_gemm;
 use owlp_repro::arith::gemm::{owlp_gemm, owlp_gemm_prepared_with, GemmScratch, PreparedTensor};
 use owlp_repro::arith::microkernel::{
-    self, available_tiers, dot_sval_with, tile_dot_i16_with, with_tier, KernelTier, MR, MR8, NR,
+    self, available_tiers, dot_sval_with, madd_period_holds, tile_dot_i16_with, with_tier,
+    KernelTier, MR, NR,
 };
 use owlp_repro::arith::{KulischAcc, WindowAcc};
+use owlp_repro::format::packed::sval_bound;
 use owlp_repro::format::Bf16;
 use owlp_repro::par::with_threads;
 use proptest::prelude::*;
@@ -142,42 +144,46 @@ proptest! {
     }
 
     /// The raw kernel entry points agree with the scalar tier exactly at
-    /// the extremes of their input contracts: svals sampled from
-    /// {0, ±1, ±small, ±32752} (32752 is the maximum folded-significand
-    /// magnitude, the bound the pairwise-madd no-wrap proof rests on),
-    /// at depths straddling the SIMD lane widths, at every tile height
-    /// the drive loop runs (1, 2, 3, MR and MR8 rows).
+    /// the extremes of their input contracts, at depths straddling the
+    /// SIMD lane widths: the tile at every height the drive loop runs (1,
+    /// 2, 3 and MR rows) on svals sampled from {0, ±1, ±small, ±16320}
+    /// (16320 is the largest the encoder writes, the widest the tile's
+    /// `i32` period admits on both sides), and `dot_sval`, which widens
+    /// every pair, with ±32752 (the largest folded-significand magnitude
+    /// the 11-bit type holds) added.
     #[test]
     fn raw_kernels_agree_with_scalar_at_extreme_svals(
         k in 1usize..70,
         seed in any::<u64>(),
     ) {
-        const EXTREMES: [i16; 9] = [0, 1, -1, 7, -7, 300, -300, 32752, -32752];
+        const EXTREMES: [i16; 11] = [0, 1, -1, 7, -7, 300, -300, 16320, -16320, 32752, -32752];
         let mut state = seed | 1;
-        let mut next = move || {
+        let mut next = move |n: usize| {
             state ^= state << 13;
             state ^= state >> 7;
             state ^= state << 17;
-            EXTREMES[(state % EXTREMES.len() as u64) as usize]
+            EXTREMES[(state % n as u64) as usize]
         };
-        let rows: Vec<Vec<i16>> = (0..MR8).map(|_| (0..k).map(|_| next()).collect()).collect();
-        let panel: Vec<i16> = (0..k * NR).map(|_| next()).collect();
+        let rows: Vec<Vec<i16>> = (0..MR).map(|_| (0..k).map(|_| next(9)).collect()).collect();
+        let panel: Vec<i16> = (0..k * NR).map(|_| next(9)).collect();
         let win0 = WindowAcc::new(0);
         tile_agrees_with_scalar::<1>(&rows, &panel, win0)?;
         tile_agrees_with_scalar::<2>(&rows, &panel, win0)?;
         tile_agrees_with_scalar::<3>(&rows, &panel, win0)?;
         tile_agrees_with_scalar::<MR>(&rows, &panel, win0)?;
-        tile_agrees_with_scalar::<MR8>(&rows, &panel, win0)?;
-        let dot_oracle = dot_sval_with(KernelTier::Scalar, &rows[0], &rows[1], win0);
+        let (a, b): (Vec<i16>, Vec<i16>) = (0..k).map(|_| (next(11), next(11))).unzip();
+        let dot_oracle = dot_sval_with(KernelTier::Scalar, &a, &b, win0);
         for &tier in available_tiers() {
-            let dot = dot_sval_with(tier, &rows[0], &rows[1], win0);
+            let dot = dot_sval_with(tier, &a, &b, win0);
             prop_assert_eq!(dot.raw(), dot_oracle.raw(), "dot_sval {} k={}", tier, k);
         }
     }
 }
 
-/// An `R`-row `tile_dot_i16` over the first `R` of `rows` on every tier
-/// equals the scalar tier's, window for window.
+/// An `R`-row `tile_dot_i16_with` over the first `R` of `rows` on every
+/// tier equals the scalar tier's, window for window. The operands must
+/// prove the `i32` period, as the drive loop checks before it runs a SIMD
+/// tier.
 fn tile_agrees_with_scalar<const R: usize>(
     rows: &[Vec<i16>],
     panel: &[i16],
@@ -185,6 +191,8 @@ fn tile_agrees_with_scalar<const R: usize>(
 ) -> Result<(), TestCaseError> {
     let a_rows: [&[i16]; R] = std::array::from_fn(|r| rows[r].as_slice());
     let k = rows[0].len();
+    let amax = a_rows.iter().map(|r| sval_bound(r)).max().unwrap_or(0);
+    prop_assert!(madd_period_holds(amax, sval_bound(panel)));
     let oracle = tile_dot_i16_with(KernelTier::Scalar, a_rows, panel, win0);
     for &tier in available_tiers() {
         let wins = tile_dot_i16_with(tier, a_rows, panel, win0);
